@@ -12,6 +12,7 @@ carrier one level up).  Everything here is immutable and safe to share.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -132,12 +133,34 @@ def _require_same_carrier(a, b) -> None:
         raise CarrierMismatch(f"carrier mismatch: {a.carrier} vs {b.carrier}")
 
 
+# Coefficient-map arithmetic on plain dicts, shared by every value type.  A
+# result built up over many steps stays a dict and is sorted and validated
+# once, by the type's ``from_dict``: folding through ``elem_add``/``nf_add``/
+# ``tensor_add`` would re-sort the whole accumulator at every step.
+
+def add_scaled(acc: dict, items: Iterable[tuple[Any, int]], scale: int = 1) -> None:
+    """acc += scale * items, pointwise."""
+    for key, c in items:
+        acc[key] = acc.get(key, 0) + scale * c
+
+
+def mul_items(a: Iterable[tuple[Any, int]], b: Sequence[tuple[Any, int]],
+              key_mul: Callable[[Any, Any], Any]) -> dict:
+    """The product of two (key, coeff) sequences as a dict, expanded
+    bilinearly with keys combined by ``key_mul``."""
+    out: dict = {}
+    for k1, c1 in a:
+        for k2, c2 in b:
+            key = key_mul(k1, k2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
 def elem_add(a: MonoidElem, b: MonoidElem) -> MonoidElem:
     """Pointwise sum of coefficient maps."""
     _require_same_carrier(a, b)
     acc = dict(a.items)
-    for key, c in b.items:
-        acc[key] = acc.get(key, 0) + c
+    add_scaled(acc, b.items)
     return MonoidElem.from_dict(a.carrier, acc)
 
 
@@ -189,13 +212,19 @@ class MonoidHom:
 
 
 def hom_apply(h: MonoidHom, a: MonoidElem) -> MonoidElem:
-    """Apply a homomorphism by extending its generator images additively."""
+    """Apply a homomorphism by extending its generator images additively.
+
+    The scaled images are summed in one dict and sorted once at the end.
+    """
     if a.carrier != h.domain:
         raise CarrierMismatch(f"element of {a.carrier} fed to hom from {h.domain}")
-    out = MonoidElem.zero(h.codomain)
+    acc: dict[Any, int] = {}
     for key, c in a.items:
-        out = elem_add(out, elem_scale(h.image_of(key), c))
-    return out
+        img = h.image_of(key)
+        if img.carrier != h.codomain:
+            raise CarrierMismatch(f"carrier mismatch: {h.codomain} vs {img.carrier}")
+        add_scaled(acc, img.items, c)
+    return MonoidElem.from_dict(h.codomain, acc)
 
 
 @dataclass(frozen=True)
@@ -249,8 +278,7 @@ def tensor_add(a: TensorElem, b: TensorElem) -> TensorElem:
     if a.factors != b.factors:
         raise CarrierMismatch("tensor factor lists differ")
     acc = dict(a.items)
-    for key, c in b.items:
-        acc[key] = acc.get(key, 0) + c
+    add_scaled(acc, b.items)
     return TensorElem.from_dict(a.factors, acc)
 
 
@@ -282,11 +310,8 @@ def tensor_pure(elems: Sequence[MonoidElem]) -> TensorElem:
 
 def tensor_concat(a: TensorElem, b: TensorElem) -> TensorElem:
     """Tensor product of two tensor elements (factor lists concatenate)."""
-    acc: dict[tuple, int] = {}
-    for ka, ca in a.items:
-        for kb, cb in b.items:
-            acc[ka + kb] = acc.get(ka + kb, 0) + ca * cb
-    return TensorElem.from_dict(a.factors + b.factors, acc)
+    return TensorElem.from_dict(a.factors + b.factors,
+                                mul_items(a.items, b.items, operator.add))
 
 
 def tensor_permute(a: TensorElem, perm: Sequence[int]) -> TensorElem:
@@ -313,20 +338,21 @@ def tensor_bimap(a: TensorElem, maps: Sequence[FactorMap]) -> TensorElem:
     of its factor and returns an element over out_factors (a MonoidElem is
     accepted for single-factor outputs).  The result's factor list is the
     concatenation of the out_factors, which stays well defined even when the
-    input is zero.
+    input is zero.  Each input key's pure tensor is expanded as a plain dict
+    and added into one result dict, which is sorted once at the end.
     """
     if len(maps) != len(a.factors):
         raise ValueError("one map per tensor factor required")
     out_factors = tuple(itertools.chain.from_iterable(fs for _, fs in maps))
-    result = TensorElem.zero(out_factors)
+    acc: dict[tuple, int] = {}
     for key, c in a.items:
-        piece = TensorElem((), (((), 1),))
+        piece = {(): c}
         for (fn, fs), k in zip(maps, key):
             img = fn(k)
             if isinstance(img, MonoidElem):
                 img = elem_as_tensor(img)
             if img.factors != tuple(fs):
                 raise CarrierMismatch("factor map output does not match its declared factors")
-            piece = tensor_concat(piece, img)
-        result = tensor_add(result, tensor_scale(piece, c))
-    return result
+            piece = mul_items(piece.items(), img.items, operator.add)
+        add_scaled(acc, piece.items())
+    return TensorElem.from_dict(out_factors, acc)

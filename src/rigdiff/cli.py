@@ -177,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, CarrierMismatch, SelfMapDisabled, ValueError) as exc:
+    except (ParseError, CarrierMismatch, SelfMapDisabled, ValueError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

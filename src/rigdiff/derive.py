@@ -11,9 +11,8 @@ genuinely differ elsewhere.
 
 from __future__ import annotations
 
-from .carrier import MonomialBasis, TensorElem
-from .normal import AppAtom, GenAtom, Monomial, NormalForm, mono_mul, nf_from_monomial
-from .carrier import FreeMonoid
+from .carrier import FreeMonoid, MonomialBasis, TensorElem, add_scaled
+from .normal import GenAtom, Monomial, NormalForm, mono_mul
 
 
 class SymmetricModeError(ValueError):
@@ -57,7 +56,8 @@ def sym_derive(a: NormalForm) -> TensorElem:
 
 def seeded_derivation(a: NormalForm, seed: NormalForm) -> NormalForm:
     """Single-variable derivation sending the generator to ``seed``:
-    c*x^k maps to c*k*x^(k-1)*seed, extended additively."""
+    c*x^k maps to c*k*x^(k-1)*seed, extended additively.  The terms are
+    added into one dict, which is sorted once at the end."""
     carrier = a.carrier
     if not isinstance(carrier, FreeMonoid) or carrier.rank != 1:
         raise ValueError("seeded derivation needs a rank-1 carrier")
@@ -65,12 +65,11 @@ def seeded_derivation(a: NormalForm, seed: NormalForm) -> NormalForm:
         raise SymmetricModeError("seeded derivation works on operation-free values")
     if seed.carrier != carrier:
         raise ValueError("seed must live over the same carrier")
-    out = NormalForm.zero(carrier)
+    acc: dict[Monomial, int] = {}
     for mono, c in a.items:
         k = mono.degree
         if k == 0:
             continue
         rest = Monomial(mono.atoms[:-1], presorted=True)
-        piece = nf_from_monomial(carrier, rest, c * k)
-        out = out + piece * seed
-    return out
+        add_scaled(acc, ((mono_mul(rest, m), s) for m, s in seed.items), c * k)
+    return NormalForm.from_dict(carrier, acc)

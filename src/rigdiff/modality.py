@@ -16,11 +16,11 @@ from typing import Callable, Mapping
 
 from .carrier import (
     Carrier, CarrierMismatch, MonoidElem, MonomialBasis, TensorElem,
-    elem_as_tensor,
+    add_scaled, elem_as_tensor, mul_items,
 )
 from .normal import (
-    GenAtom, Monomial, NormalForm, as_monoid_element, mono_mul,
-    nf_add, nf_from_monomial, nf_mul, nf_scale, nf_selfmap, nf_var, normalize,
+    GenAtom, Monomial, NormalForm, ONE_MONOMIAL, as_monoid_element, mono_mul,
+    nf_scale, nf_selfmap, nf_var, normalize,
 )
 from .terms import Term
 
@@ -72,22 +72,27 @@ def mu(a: NormalForm) -> NormalForm:
     """Collapse one construction level.
 
     Level-2 generator atoms name level-1 monomials and are read as those
-    values; the level-2 unary operation becomes the level-1 one.
+    values; the level-2 unary operation becomes the level-1 one.  Each
+    monomial's image is expanded as a plain dict and added into one result
+    dict, which is sorted once at the end.
     """
     if not isinstance(a.carrier, MonomialBasis):
         raise CarrierMismatch(f"mu needs a level >= 2 value, got one over {a.carrier}")
     base = a.carrier.base
-    out = NormalForm.zero(base)
+    acc: dict[Monomial, int] = {}
     for mono, c in a.items:
-        prod = NormalForm.one(base)
+        prod = {ONE_MONOMIAL: c}
         for atom in mono.atoms:
             if isinstance(atom, GenAtom):
-                img = nf_from_monomial(base, atom.index)
+                img = ((atom.index, 1),)
             else:
-                img = nf_selfmap(mu(atom.argument))
-            prod = nf_mul(prod, img)
-        out = nf_add(out, nf_scale(prod, c))
-    return out
+                inner = nf_selfmap(mu(atom.argument))
+                if inner.carrier != base:
+                    raise CarrierMismatch(f"carrier mismatch: {base} vs {inner.carrier}")
+                img = inner.items
+            prod = mul_items(prod.items(), img, mono_mul)
+        add_scaled(acc, prod.items())
+    return NormalForm.from_dict(base, acc)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping
 
 from .carrier import (
     Carrier, CarrierMismatch, FreeMonoid, MonoidElem, MonoidHom, MonomialBasis,
-    basis_sort_key,
+    add_scaled, basis_sort_key, mul_items,
 )
 from . import terms as t
 
@@ -192,20 +192,14 @@ def nf_add(a: NormalForm, b: NormalForm) -> NormalForm:
     if a.carrier != b.carrier:
         raise CarrierMismatch(f"carrier mismatch: {a.carrier} vs {b.carrier}")
     acc = dict(a.items)
-    for m, c in b.items:
-        acc[m] = acc.get(m, 0) + c
+    add_scaled(acc, b.items)
     return NormalForm.from_dict(a.carrier, acc)
 
 
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     if a.carrier != b.carrier:
         raise CarrierMismatch(f"carrier mismatch: {a.carrier} vs {b.carrier}")
-    acc: dict[Monomial, int] = {}
-    for ma, ca in a.items:
-        for mb, cb in b.items:
-            m = mono_mul(ma, mb)
-            acc[m] = acc.get(m, 0) + ca * cb
-    return NormalForm.from_dict(a.carrier, acc)
+    return NormalForm.from_dict(a.carrier, mul_items(a.items, b.items, mono_mul))
 
 
 def nf_scale(a: NormalForm, n: int) -> NormalForm:
@@ -247,21 +241,25 @@ def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
     """Rig map induced by a carrier homomorphism.
 
     Generator atoms map to the variables of their images and the unary
-    operation is carried along; the result is again canonical.
+    operation is carried along; the result is again canonical.  Each
+    monomial's image is expanded as a plain dict and added into one result
+    dict, which is sorted once at the end.
     """
     if a.carrier != h.domain:
         raise CarrierMismatch(f"value over {a.carrier} fed to hom from {h.domain}")
-    out = NormalForm.zero(h.codomain)
+    acc: dict[Monomial, int] = {}
     for mono, c in a.items:
-        prod = NormalForm.one(h.codomain)
+        prod = {ONE_MONOMIAL: c}
         for atom in mono.atoms:
             if isinstance(atom, GenAtom):
                 img = nf_var(h.image_of(atom.index))
             else:
                 img = nf_selfmap(apply_functor(h, atom.argument))
-            prod = nf_mul(prod, img)
-        out = nf_add(out, nf_scale(prod, c))
-    return out
+            if img.carrier != h.codomain:
+                raise CarrierMismatch(f"carrier mismatch: {h.codomain} vs {img.carrier}")
+            prod = mul_items(prod.items(), img.items, mono_mul)
+        add_scaled(acc, prod.items())
+    return NormalForm.from_dict(h.codomain, acc)
 
 
 def fm_as_carrier(carrier: Carrier) -> MonomialBasis:

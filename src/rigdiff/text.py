@@ -12,8 +12,9 @@ carrier generator.  At level 2 the payload is itself an expression over the
 base carrier, normalized on the spot, so ``g(y[x[1]])`` reads the inner
 ``x[1]`` as a level-1 value.  Variable letters x/y/z and operation letters
 f/g/h are interchangeable on input; the carrier argument fixes the meaning.
-Naturals other than 0 and 1 are sugar for repeated sums of 1, which keeps
-the canonical renderings (like ``5*x[0]``) readable back in.
+Naturals other than 0 and 1 are sugar for sums and products of 1 (binary
+Horner, so a long literal stays a shallow term), which keeps the canonical
+renderings (like ``5*x[0]``) readable back in.
 """
 
 from __future__ import annotations
@@ -75,11 +76,15 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 def _nat_term(n: int) -> Term:
+    """The literal n by binary Horner, (1+1)*t + bit, so its depth is
+    O(log n) rather than a chain of n sums."""
     if n == 0:
         return ZERO
     term: Term = ONE
-    for _ in range(n - 1):
-        term = Sum(term, ONE)
+    for bit in bin(n)[3:]:
+        term = Prod(Sum(ONE, ONE), term)
+        if bit == "1":
+            term = Sum(term, ONE)
     return term
 
 

@@ -132,6 +132,50 @@ class TestDistinctness:
         assert obj == {"pairs": [[0, 0], [2, 2], [5, 5]], "distinct": True}
 
 
+class TestLongAndDeepInputs:
+    def test_long_literal(self, capsys):
+        code, out, _ = run(capsys, "normalize", "2000")
+        assert code == 0 and out == "2000\n"
+
+    def test_ten_digit_literal_is_fast(self):
+        # In a child with capped memory and time: a literal expanded into a
+        # chain of n sums would need ~10**10 nodes and must fail fast here.
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = ("import time; from rigdiff.cli import main; "
+                  "start = time.perf_counter(); "
+                  "main(['normalize', '9876543210*x[1]']); "
+                  "print(time.perf_counter() - start)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=20, preexec_fn=cap_memory,
+                              env={**os.environ, "PYTHONPATH": src})
+        out, elapsed = proc.stdout.splitlines()
+        assert proc.returncode == 0 and out == "9876543210*x[0]"
+        assert float(elapsed) < 0.5
+
+    @pytest.mark.parametrize("command", ["normalize", "derive"])
+    @pytest.mark.parametrize("expr", [
+        "+".join(["x[1]"] * 3000),
+        "(" * 1200 + "x[1]" + ")" * 1200,
+        "f(" * 400 + "x[1]" + ")" * 400,
+    ], ids=["chained-sum", "nested-parens", "nested-f"])
+    def test_deep_nesting_ends_cleanly(self, capsys, command, expr):
+        argv = [command, expr] if command == "normalize" else [command, "--n", "2", expr]
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error:") and out == ""
+
+
 class TestErrors:
     def test_parse_errors_exit_2(self, capsys):
         code, _, err = run(capsys, "normalize", "x[1")
