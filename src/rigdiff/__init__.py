@@ -19,9 +19,9 @@ from .terms import (
 )
 from .normal import (
     AppAtom, Atom, GenAtom, Monomial, NormalForm, ONE_MONOMIAL, SelfMapDisabled,
-    apply_functor, as_monoid_element, fm_as_carrier, from_monoid_element,
-    mono_mul, nf_add, nf_from_monomial, nf_from_obj, nf_mul, nf_scale,
-    nf_selfmap, nf_to_obj, nf_var, normalize, render_nf, tensor_to_obj,
+    apply_functor, as_monoid_element, from_monoid_element, mono_mul, nf_add,
+    nf_from_monomial, nf_from_obj, nf_mul, nf_scale, nf_selfmap, nf_to_obj,
+    nf_var, normalize, render_nf, tensor_to_obj,
 )
 from .text import ParseError, parse, print_term, render_tensor
 from .gen import GenConfig, equivalent_variant, random_elem, random_hom, random_term
@@ -29,7 +29,7 @@ from .modality import (
     CATALOG, RigWithSelfMap, eta, evaluate, mu, nabla, nabla_at, nf_as_tensor,
     rig_from_term, unit,
 )
-from .derive import SymmetricModeError, d_n, d_n_level2, seeded_derivation, sym_derive
+from .derive import SymmetricModeError, d_n, seeded_derivation, sym_derive
 from .laws import (
     Failure, Law, LawReport, LawResult, LAWS, SuiteConfig, check_distinctness,
     check_laws, law_names, replay_case, run_law,

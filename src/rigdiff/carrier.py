@@ -87,33 +87,41 @@ class MonomialBasis:
 Carrier = FreeMonoid | MonomialBasis
 
 
-@dataclass(frozen=True)
-class MonoidElem:
-    """Element of a carrier: a sorted coefficient map, all coefficients > 0."""
+class CoeffMap:
+    """A finite map from basis keys to positive naturals, stored as ``items``,
+    a tuple of (key, coeff) pairs in key order, so equal maps are equal
+    structurally.  Its tag (``carrier``, or ``factors`` for tensors) names
+    where the keys live; add and scale keep it, even on a zero result.  A
+    subclass fixes the tag, its key check and its item order.
+    """
 
-    carrier: Carrier
-    items: tuple[tuple[Any, int], ...]
+    __slots__ = ()
 
-    @staticmethod
-    def from_dict(carrier: Carrier, coeffs: Mapping[Any, int]) -> "MonoidElem":
-        items = []
-        for key, c in coeffs.items():
-            if c < 0:
-                raise ValueError(f"coefficient {c} is negative; no subtraction here")
-            if c == 0:
-                continue
-            carrier.check_key(key)
-            items.append((key, c))
-        items.sort(key=lambda kv: basis_sort_key(kv[0]))
-        return MonoidElem(carrier, tuple(items))
+    tag = property(operator.attrgetter("carrier"))
+
+    # (tag, items) -> None; raises CarrierMismatch on a key outside the tag's
+    # basis.  None means the keys are not checked.
+    _check_keys: Callable[[Any, list], None] | None = None
 
     @staticmethod
-    def zero(carrier: Carrier) -> "MonoidElem":
-        return MonoidElem(carrier, ())
+    def _item_order(item: tuple[Any, int]):
+        raise NotImplementedError
 
-    @staticmethod
-    def generator(carrier: Carrier, key: Any, coeff: int = 1) -> "MonoidElem":
-        return MonoidElem.from_dict(carrier, {key: coeff})
+    @classmethod
+    def from_dict(cls, tag: Any, coeffs: Mapping[Any, int]):
+        items = [kc for kc in coeffs.items() if kc[1] > 0]
+        # Only a dropped coefficient can be negative.
+        if len(items) < len(coeffs) and min(coeffs.values()) < 0:
+            raise ValueError("coefficients must be naturals; no subtraction here")
+        check = cls._check_keys
+        if check is not None:
+            check(tag, items)
+        items.sort(key=cls._item_order)
+        return cls(tag, tuple(items))
+
+    @classmethod
+    def zero(cls, tag: Any):
+        return cls(tag, ())
 
     def coeff(self, key: Any) -> int:
         for k, c in self.items:
@@ -124,19 +132,59 @@ class MonoidElem:
     def is_zero(self) -> bool:
         return not self.items
 
-    def __add__(self, other: "MonoidElem") -> "MonoidElem":
-        return elem_add(self, other)
+    def __add__(self, other):
+        return coeff_add(self, other)
 
 
-def _require_same_carrier(a, b) -> None:
-    if a.carrier != b.carrier:
-        raise CarrierMismatch(f"carrier mismatch: {a.carrier} vs {b.carrier}")
+def coeff_add(a: CoeffMap, b: CoeffMap) -> CoeffMap:
+    """Pointwise sum of two coefficient maps of one type and tag."""
+    cls, tag = type(a), a.tag
+    if type(b) is not cls or b.tag != tag:
+        raise CarrierMismatch(f"carrier mismatch: {cls.__name__} over {tag} "
+                              f"vs {type(b).__name__} over {b.tag}")
+    acc = dict(a.items)
+    add_scaled(acc, b.items)
+    return cls.from_dict(tag, acc)
+
+
+def coeff_scale(a: CoeffMap, n: int) -> CoeffMap:
+    """n times a coefficient map, for a natural n."""
+    if n < 0:
+        raise ValueError("scalar must be a natural number")
+    if n == 0:
+        return type(a).zero(a.tag)
+    return type(a)(a.tag, tuple((k, n * c) for k, c in a.items))
+
+
+elem_add = tensor_add = coeff_add
+elem_scale = tensor_scale = coeff_scale
+
+
+@dataclass(frozen=True)
+class MonoidElem(CoeffMap):
+    """Element of a carrier: a sorted coefficient map, all coefficients > 0."""
+
+    carrier: Carrier
+    items: tuple[tuple[Any, int], ...]
+
+    @staticmethod
+    def _check_keys(carrier: Carrier, items: list) -> None:
+        for key, _ in items:
+            carrier.check_key(key)
+
+    @staticmethod
+    def _item_order(item):
+        return basis_sort_key(item[0])
+
+    @staticmethod
+    def generator(carrier: Carrier, key: Any, coeff: int = 1) -> "MonoidElem":
+        return MonoidElem.from_dict(carrier, {key: coeff})
 
 
 # Coefficient-map arithmetic on plain dicts, shared by every value type.  A
 # result built up over many steps stays a dict and is sorted and validated
-# once, by the type's ``from_dict``: folding through ``elem_add``/``nf_add``/
-# ``tensor_add`` would re-sort the whole accumulator at every step.
+# once, by the type's ``from_dict``: folding through ``coeff_add`` would
+# re-sort the whole accumulator at every step.
 
 def add_scaled(acc: dict, items: Iterable[tuple[Any, int]], scale: int = 1) -> None:
     """acc += scale * items, pointwise."""
@@ -154,22 +202,6 @@ def mul_items(a: Iterable[tuple[Any, int]], b: Sequence[tuple[Any, int]],
             key = key_mul(k1, k2)
             out[key] = out.get(key, 0) + c1 * c2
     return out
-
-
-def elem_add(a: MonoidElem, b: MonoidElem) -> MonoidElem:
-    """Pointwise sum of coefficient maps."""
-    _require_same_carrier(a, b)
-    acc = dict(a.items)
-    add_scaled(acc, b.items)
-    return MonoidElem.from_dict(a.carrier, acc)
-
-
-def elem_scale(a: MonoidElem, n: int) -> MonoidElem:
-    if n < 0:
-        raise ValueError("scalar must be a natural number")
-    if n == 0:
-        return MonoidElem.zero(a.carrier)
-    return MonoidElem(a.carrier, tuple((k, n * c) for k, c in a.items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +260,7 @@ def hom_apply(h: MonoidHom, a: MonoidElem) -> MonoidElem:
 
 
 @dataclass(frozen=True)
-class TensorElem:
+class TensorElem(CoeffMap):
     """Element of a finite tensor product of carriers.
 
     The basis of a tensor product of free-basis monoids is the set of
@@ -239,55 +271,19 @@ class TensorElem:
     factors: tuple[Carrier, ...]
     items: tuple[tuple[tuple, int], ...]
 
+    tag = property(operator.attrgetter("factors"))
+
     @staticmethod
-    def from_dict(factors: Sequence[Carrier],
-                  coeffs: Mapping[tuple, int]) -> "TensorElem":
-        factors = tuple(factors)
-        items = []
-        for key, c in coeffs.items():
-            if c < 0:
-                raise ValueError(f"coefficient {c} is negative; no subtraction here")
-            if c == 0:
-                continue
+    def _check_keys(factors: tuple[Carrier, ...], items: list) -> None:
+        for key, _ in items:
             if len(key) != len(factors):
                 raise CarrierMismatch("key width differs from factor count")
             for f, k in zip(factors, key):
                 f.check_key(k)
-            items.append((key, c))
-        items.sort(key=lambda kv: tuple(basis_sort_key(k) for k in kv[0]))
-        return TensorElem(factors, tuple(items))
 
     @staticmethod
-    def zero(factors: Sequence[Carrier]) -> "TensorElem":
-        return TensorElem(tuple(factors), ())
-
-    def coeff(self, key: tuple) -> int:
-        for k, c in self.items:
-            if k == key:
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        return tensor_add(self, other)
-
-
-def tensor_add(a: TensorElem, b: TensorElem) -> TensorElem:
-    if a.factors != b.factors:
-        raise CarrierMismatch("tensor factor lists differ")
-    acc = dict(a.items)
-    add_scaled(acc, b.items)
-    return TensorElem.from_dict(a.factors, acc)
-
-
-def tensor_scale(a: TensorElem, n: int) -> TensorElem:
-    if n < 0:
-        raise ValueError("scalar must be a natural number")
-    if n == 0:
-        return TensorElem.zero(a.factors)
-    return TensorElem(a.factors, tuple((k, n * c) for k, c in a.items))
+    def _item_order(item):
+        return tuple(map(basis_sort_key, item[0]))
 
 
 def elem_as_tensor(a: MonoidElem) -> TensorElem:

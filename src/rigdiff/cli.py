@@ -15,7 +15,7 @@ import json
 import sys
 
 from .carrier import CarrierMismatch, FreeMonoid, MonomialBasis
-from .derive import d_n, d_n_level2
+from .derive import d_n
 from .laws import SuiteConfig, check_distinctness, check_laws
 from .modality import CATALOG, evaluate, mu, rig_from_term
 from .normal import SelfMapDisabled, nf_to_obj, normalize, render_nf, tensor_to_obj
@@ -102,7 +102,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_derive(args) -> int:
     carrier = _carrier_for(args)
     nf = normalize(parse(_read_expr(args.expr), carrier), carrier)
-    derived = d_n_level2(nf, args.n) if args.level == 2 else d_n(nf, args.n)
+    derived = d_n(nf, args.n)
     if args.format == "structured":
         print(json.dumps(tensor_to_obj(derived), indent=2))
     else:

@@ -39,13 +39,6 @@ def d_n(a: NormalForm, n: int) -> TensorElem:
     return TensorElem.from_dict(factors, acc)
 
 
-def d_n_level2(a: NormalForm, n: int) -> TensorElem:
-    """The same derivative one level up, for values over a constructed rig."""
-    if not isinstance(a.carrier, MonomialBasis):
-        raise ValueError(f"level-2 derivative needs a level >= 2 value, got {a.carrier}")
-    return d_n(a, n)
-
-
 def sym_derive(a: NormalForm) -> TensorElem:
     """Derivative on plain polynomials; rejects operation atoms instead of
     weighting them, and is the common value of the whole family there."""

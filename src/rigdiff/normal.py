@@ -16,11 +16,11 @@ keeps sorting, hashing and equality cheap and deterministic.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from .carrier import (
-    Carrier, CarrierMismatch, FreeMonoid, MonoidElem, MonoidHom, MonomialBasis,
-    add_scaled, basis_sort_key, mul_items,
+    Carrier, CarrierMismatch, CoeffMap, MonoidElem, MonoidHom, MonomialBasis,
+    add_scaled, basis_sort_key, coeff_add, coeff_scale, mul_items,
 )
 from . import terms as t
 
@@ -112,8 +112,11 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return Monomial(a.atoms + b.atoms)
 
 
-class NormalForm:
-    """Canonical rig value: sorted (monomial, positive coefficient) pairs."""
+class NormalForm(CoeffMap):
+    """Canonical rig value: sorted (monomial, positive coefficient) pairs.
+
+    Its keys are not checked: ``from_dict`` is on every hot path, and every
+    monomial key is built by this module."""
 
     __slots__ = ("carrier", "items", "order_key", "_hash")
 
@@ -124,29 +127,12 @@ class NormalForm:
         self._hash = hash((carrier, self.order_key))
 
     @staticmethod
-    def from_dict(carrier: Carrier, coeffs: Mapping[Monomial, int]) -> "NormalForm":
-        items = [(m, c) for m, c in coeffs.items() if c != 0]
-        if any(c < 0 for _, c in items):
-            raise ValueError("coefficients must be naturals; no subtraction here")
-        items.sort(key=lambda mc: mc[0].order_key)
-        return NormalForm(carrier, tuple(items))
-
-    @staticmethod
-    def zero(carrier: Carrier) -> "NormalForm":
-        return NormalForm(carrier, ())
+    def _item_order(item):
+        return item[0].order_key
 
     @staticmethod
     def one(carrier: Carrier) -> "NormalForm":
         return NormalForm(carrier, ((ONE_MONOMIAL, 1),))
-
-    def coeff(self, mono: Monomial) -> int:
-        for m, c in self.items:
-            if m == mono:
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self.items
 
     def has_app_atoms(self) -> bool:
         return any(isinstance(a, AppAtom) for m, _ in self.items for a in m.atoms)
@@ -158,9 +144,6 @@ class NormalForm:
 
     def __hash__(self):
         return self._hash
-
-    def __add__(self, other):
-        return nf_add(self, other)
 
     def __mul__(self, other):
         return nf_mul(self, other)
@@ -188,26 +171,14 @@ def nf_var(elem: MonoidElem) -> NormalForm:
     return NormalForm(elem.carrier, items)
 
 
-def nf_add(a: NormalForm, b: NormalForm) -> NormalForm:
-    if a.carrier != b.carrier:
-        raise CarrierMismatch(f"carrier mismatch: {a.carrier} vs {b.carrier}")
-    acc = dict(a.items)
-    add_scaled(acc, b.items)
-    return NormalForm.from_dict(a.carrier, acc)
+nf_add = coeff_add
+nf_scale = coeff_scale
 
 
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     if a.carrier != b.carrier:
         raise CarrierMismatch(f"carrier mismatch: {a.carrier} vs {b.carrier}")
     return NormalForm.from_dict(a.carrier, mul_items(a.items, b.items, mono_mul))
-
-
-def nf_scale(a: NormalForm, n: int) -> NormalForm:
-    if n < 0:
-        raise ValueError("scalar must be a natural number")
-    if n == 0:
-        return NormalForm.zero(a.carrier)
-    return NormalForm(a.carrier, tuple((m, n * c) for m, c in a.items))
 
 
 def nf_selfmap(a: NormalForm) -> NormalForm:
@@ -218,7 +189,11 @@ def nf_selfmap(a: NormalForm) -> NormalForm:
 
 
 def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
-    """Canonical form of a raw term over the given carrier."""
+    """Canonical form of a raw term over the given carrier.
+
+    A run of sums is walked with an explicit stack and added into one dict
+    that is sorted once; a left spine of products is multiplied out in a
+    loop.  So long chains of either need no recursion."""
     if isinstance(term, t.Zero):
         return NormalForm.zero(carrier)
     if isinstance(term, t.One):
@@ -229,9 +204,24 @@ def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
                 f"variable over {term.elem.carrier} normalized over {carrier}")
         return nf_var(term.elem)
     if isinstance(term, t.Sum):
-        return nf_add(normalize(term.left, carrier), normalize(term.right, carrier))
+        acc: dict[Monomial, int] = {}
+        stack = [term]
+        while stack:
+            sub = stack.pop()
+            if isinstance(sub, t.Sum):
+                stack += (sub.right, sub.left)
+            else:
+                add_scaled(acc, normalize(sub, carrier).items)
+        return NormalForm.from_dict(carrier, acc)
     if isinstance(term, t.Prod):
-        return nf_mul(normalize(term.left, carrier), normalize(term.right, carrier))
+        rights = []
+        while isinstance(term, t.Prod):
+            rights.append(term.right)
+            term = term.left
+        out = normalize(term, carrier)
+        for right in reversed(rights):
+            out = nf_mul(out, normalize(right, carrier))
+        return out
     if isinstance(term, t.App):
         return nf_selfmap(normalize(term.body, carrier))
     raise TypeError(f"not a term: {term!r}")
@@ -260,11 +250,6 @@ def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
             prod = mul_items(prod.items(), img.items, mono_mul)
         add_scaled(acc, prod.items())
     return NormalForm.from_dict(h.codomain, acc)
-
-
-def fm_as_carrier(carrier: Carrier) -> MonomialBasis:
-    """The constructed rig, viewed additively as a carrier one level up."""
-    return MonomialBasis(carrier)
 
 
 def as_monoid_element(a: NormalForm) -> MonoidElem:
@@ -307,20 +292,26 @@ def render_monomial(mono: Monomial, level: int) -> str:
     return "*".join(render_atom(a, level) for a in mono.atoms)
 
 
-def render_nf(a: NormalForm) -> str:
-    """Canonical text: coefficient-tagged monomials in key order."""
+def _join_terms(a: NormalForm, render_mono) -> str:
+    """Coefficient-tagged monomials in key order; ``render_mono`` spells a
+    monomial other than 1."""
     if a.is_zero():
         return "0"
-    level = a.carrier.level
     pieces = []
     for m, c in a.items:
         if not m.atoms:
             pieces.append(str(c))
         elif c == 1:
-            pieces.append(render_monomial(m, level))
+            pieces.append(render_mono(m))
         else:
-            pieces.append(f"{c}*{render_monomial(m, level)}")
+            pieces.append(f"{c}*{render_mono(m)}")
     return " + ".join(pieces)
+
+
+def render_nf(a: NormalForm) -> str:
+    """Canonical text: coefficient-tagged monomials in key order."""
+    level = a.carrier.level
+    return _join_terms(a, lambda m: render_monomial(m, level))
 
 
 # --- structured export: lists and dicts that survive JSON exactly

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .carrier import Carrier, FreeMonoid, MonoidElem, MonomialBasis, TensorElem
 from .normal import (
-    GenAtom, app_letter, as_monoid_element, from_monoid_element, normalize,
-    render_monomial, render_nf, var_letter,
+    GenAtom, _join_terms, app_letter, as_monoid_element, from_monoid_element,
+    normalize, render_monomial, var_letter,
 )
 from .terms import App, One, Prod, Sum, Term, Var, Zero, ONE, ZERO, positions
 
@@ -35,6 +35,12 @@ class ParseError(ValueError):
 
 _VAR_NAMES = {"x", "y", "z"}
 _APP_NAMES = {"f", "g", "h"}
+
+# Deepest nesting of "(", "f(" and level-2 "[payload]" that the parser
+# accepts.  Normalizing, deriving, collapsing and printing recurse once per
+# level, and at this depth all of them stay within Python's default
+# recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -108,10 +115,16 @@ class _Parser:
         return tok
 
     def expr(self, carrier: Carrier) -> Term:
+        if self.depth > MAX_NESTING:
+            opener = self.tokens[self.pos - 1]
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels "
+                             f"at line {opener.line}, column {opener.col}")
+        self.depth += 1
         term = self.mult(carrier)
         while self.peek().kind == "sym" and self.peek().value == "+":
             self.take()
             term = Sum(term, self.mult(carrier))
+        self.depth -= 1
         return term
 
     def mult(self, carrier: Carrier) -> Term:
@@ -201,18 +214,7 @@ def _emit_atom(atom, carrier: Carrier) -> str:
 
 def emit_nf(a) -> str:
     """Render a canonical form as parseable input that normalizes back to it."""
-    if a.is_zero():
-        return "0"
-    pieces = []
-    for m, c in a.items:
-        mono = "*".join(_emit_atom(x, a.carrier) for x in m.atoms) if m.atoms else "1"
-        if not m.atoms:
-            pieces.append(str(c))
-        elif c == 1:
-            pieces.append(mono)
-        else:
-            pieces.append(f"{c}*{mono}")
-    return " + ".join(pieces)
+    return _join_terms(a, lambda m: "*".join(_emit_atom(x, a.carrier) for x in m.atoms))
 
 
 def print_term(term: Term, carrier: Carrier | None = None) -> str:

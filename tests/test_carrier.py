@@ -11,6 +11,7 @@ from rigdiff.carrier import (
     tensor_scale,
 )
 from rigdiff.gen import random_elem, random_hom
+from rigdiff.normal import GenAtom, Monomial, NormalForm, ONE_MONOMIAL, nf_add, nf_scale
 
 N1 = FreeMonoid(1)
 N2 = FreeMonoid(2)
@@ -204,3 +205,32 @@ class TestTensorElem:
         t = TensorElem.zero((N1,))
         out = tensor_bimap(t, [(lambda k: MonoidElem.generator(N2, 0), (N2,))])
         assert out.is_zero() and out.factors == (N2,)
+
+
+# MonoidElem, TensorElem and NormalForm share one coefficient-map core; each
+# case is (type, its add, its scale, a tag, another tag, three keys in order).
+X0 = Monomial((GenAtom(0),))
+ZEROS = [MonoidElem.zero(N1), TensorElem.zero((N1,)), NormalForm.zero(N1)]
+
+
+@pytest.mark.parametrize("cls, add, scale, tag, other_tag, keys", [
+    (MonoidElem, elem_add, elem_scale, N3, N2, [0, 1, 2]),
+    (TensorElem, tensor_add, tensor_scale, (N2, N2), (N2, N1), [(0, 0), (0, 1), (1, 0)]),
+    (NormalForm, nf_add, nf_scale, N1, N2, [ONE_MONOMIAL, X0, Monomial((GenAtom(0),) * 2)]),
+], ids=["MonoidElem", "TensorElem", "NormalForm"])
+def test_coefficient_map_contract(cls, add, scale, tag, other_tag, keys):
+    a = cls.from_dict(tag, {keys[2]: 3, keys[1]: 0, keys[0]: 2})
+    assert a.items == ((keys[0], 2), (keys[2], 3))
+    assert a.coeff(keys[1]) == 0 and a.coeff(keys[2]) == 3
+    with pytest.raises(ValueError):
+        cls.from_dict(tag, {keys[0]: -1})
+    assert scale(a, 0) == cls.zero(tag) and scale(a, 0).is_zero()
+    assert add(a, cls.zero(tag)) == a + cls.zero(tag) == a
+    with pytest.raises(CarrierMismatch):
+        add(a, cls.zero(other_tag))
+    for other in ZEROS:
+        if type(other) is not cls:
+            with pytest.raises(CarrierMismatch):
+                add(a, other)
+            with pytest.raises(CarrierMismatch):
+                other + a

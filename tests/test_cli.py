@@ -1,13 +1,14 @@
 """End-to-end command line behavior through main(argv)."""
 
 import json
+import time
 
 import pytest
 
 from rigdiff.cli import main
 from rigdiff.carrier import FreeMonoid, MonomialBasis
 from rigdiff.normal import nf_from_obj, normalize
-from rigdiff.text import parse
+from rigdiff.text import MAX_NESTING, parse
 
 
 def run(capsys, *argv):
@@ -174,6 +175,57 @@ class TestLongAndDeepInputs:
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("error:") and out == ""
+
+
+def timed_run(capsys, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    return result
+
+
+class TestLongChains:
+    def test_sum_chain_normalizes(self, capsys):
+        code, out, _ = timed_run(capsys, "normalize", "+".join(["x[1]"] * 3000))
+        assert code == 0 and out == "3000*x[0]\n"
+
+    def test_sum_chain_derives(self, capsys):
+        code, out, _ = timed_run(capsys, "derive", "--n", "2", "+".join(["x[1]"] * 3000))
+        assert code == 0 and out == "3000*(1 ⊗ e[0])\n"
+
+    def test_product_chain_normalizes(self, capsys):
+        code, out, _ = timed_run(capsys, "normalize", "*".join(["x[1]"] * 3000))
+        assert code == 0 and out == "*".join(["x[0]"] * 3000) + "\n"
+
+
+def tower(depth, opener, inner):
+    return opener * depth + inner + ")" * depth
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("argv, expr", [
+        (["normalize"], tower(MAX_NESTING, "f(", "x[1]")),
+        (["derive", "--n", "2"], tower(MAX_NESTING, "f(", "x[1]")),
+        (["normalize", "--level", "2"], tower(MAX_NESTING - 1, "g(", "y[x[1]]")),
+        (["derive", "--n", "2", "--level", "2"], "y[" + tower(MAX_NESTING - 1, "f(", "x[1]") + "]"),
+        (["mu"], tower(MAX_NESTING - 1, "g(", "y[x[1]]")),
+    ], ids=["normalize", "derive", "normalize-level2", "derive-level2", "mu"])
+    def test_deepest_accepted_input_gets_an_answer(self, capsys, argv, expr, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt, expr)
+        assert code == 0 and err == "" and out
+
+    @pytest.mark.parametrize("argv, expr, line, col", [
+        (["normalize"], tower(MAX_NESTING + 1, "(", "x[1]"), 1, MAX_NESTING + 1),
+        (["derive", "--n", "2"], tower(MAX_NESTING + 1, "f(", "x[1]"), 1, 2 * MAX_NESTING + 2),
+        (["mu"], tower(MAX_NESTING, "g(", "y[x[1]]"), 1, 2 * MAX_NESTING + 2),
+        (["normalize"], tower(MAX_NESTING + 1, "f(\n", "x[1]"), MAX_NESTING + 1, 2),
+    ], ids=["parens", "f", "level2-payload", "multiline"])
+    def test_one_level_deeper_is_a_parse_error(self, capsys, argv, expr, line, col):
+        code, out, err = run(capsys, *argv, expr)
+        assert code == 2 and out == ""
+        assert err == (f"error: expression nested deeper than {MAX_NESTING} levels "
+                       f"at line {line}, column {col}\n")
 
 
 class TestErrors:

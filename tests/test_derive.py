@@ -8,9 +8,7 @@ from oracle import term_derivative
 from rigdiff.carrier import (
     FreeMonoid, MonoidElem, MonomialBasis, TensorElem, tensor_bimap,
 )
-from rigdiff.derive import (
-    SymmetricModeError, d_n, d_n_level2, seeded_derivation, sym_derive,
-)
+from rigdiff.derive import SymmetricModeError, d_n, seeded_derivation, sym_derive
 from rigdiff.gen import random_term_rng
 from rigdiff.normal import (
     AppAtom, GenAtom, Monomial, NormalForm, ONE_MONOMIAL, normalize,
@@ -94,16 +92,12 @@ class TestDn:
 
 class TestDnLevel2:
     def test_level2_examples(self):
-        t = d_n_level2(nf("y[x[1]]", L2), 3)
+        t = d_n(nf("y[x[1]]", L2), 3)
         assert t == TensorElem.from_dict(
             (MonomialBasis(L2), L2), {(ONE_MONOMIAL, Monomial((G0,))): 1})
-        t = d_n_level2(nf("g(y[1])", L2), 3)
+        t = d_n(nf("g(y[1])", L2), 3)
         assert t == TensorElem.from_dict(
             (MonomialBasis(L2), L2), {(ONE_MONOMIAL, ONE_MONOMIAL): 3})
-
-    def test_rejects_level1_values(self):
-        with pytest.raises(ValueError):
-            d_n_level2(nf("x[1]"), 1)
 
 
 class TestSymDerive:
