@@ -335,20 +335,26 @@ def tensor_bimap(a: TensorElem, maps: Sequence[FactorMap]) -> TensorElem:
     accepted for single-factor outputs).  The result's factor list is the
     concatenation of the out_factors, which stays well defined even when the
     input is zero.  Each input key's pure tensor is expanded as a plain dict
-    and added into one result dict, which is sorted once at the end.
+    and added into one result dict, which is sorted once at the end.  Within
+    one call each factor map is called once per distinct key of its factor.
     """
     if len(maps) != len(a.factors):
         raise ValueError("one map per tensor factor required")
     out_factors = tuple(itertools.chain.from_iterable(fs for _, fs in maps))
+    images: list[dict] = [{} for _ in maps]  # per factor: key -> image items
     acc: dict[tuple, int] = {}
     for key, c in a.items:
         piece = {(): c}
-        for (fn, fs), k in zip(maps, key):
-            img = fn(k)
-            if isinstance(img, MonoidElem):
-                img = elem_as_tensor(img)
-            if img.factors != tuple(fs):
-                raise CarrierMismatch("factor map output does not match its declared factors")
-            piece = mul_items(piece.items(), img.items, operator.add)
+        for (fn, fs), k, seen in zip(maps, key, images):
+            img = seen.get(k)
+            if img is None:
+                img = fn(k)
+                if isinstance(img, MonoidElem):
+                    img = elem_as_tensor(img)
+                if img.factors != tuple(fs):
+                    raise CarrierMismatch(
+                        "factor map output does not match its declared factors")
+                img = seen[k] = img.items
+            piece = mul_items(piece.items(), img, operator.add)
         add_scaled(acc, piece.items())
     return TensorElem.from_dict(out_factors, acc)

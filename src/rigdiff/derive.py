@@ -12,7 +12,7 @@ genuinely differ elsewhere.
 from __future__ import annotations
 
 from .carrier import FreeMonoid, MonomialBasis, TensorElem, add_scaled
-from .normal import GenAtom, Monomial, NormalForm, mono_mul
+from .normal import GenAtom, Monomial, NormalForm, memoize_arguments, mono_mul
 
 
 class SymmetricModeError(ValueError):
@@ -20,9 +20,19 @@ class SymmetricModeError(ValueError):
 
 
 def d_n(a: NormalForm, n: int) -> TensorElem:
-    """n-th family member of the derivative, value tensor carrier element."""
+    """n-th family member of the derivative, value tensor carrier element.
+
+    Within one call each distinct operation argument is differentiated
+    once, at its first occurrence; later occurrences, at any depth, reuse
+    that derivative."""
     if n < 0:
         raise ValueError("the family is indexed by naturals")
+    return _d_n(a, n, None)
+
+
+def _d_n(a: NormalForm, n: int, memo: dict | None) -> TensorElem:
+    """``d_n`` with the call's memo (argument -> derivative), which is
+    created at the first operation atom that needs one."""
     carrier = a.carrier
     factors = (MonomialBasis(carrier), carrier)
     acc: dict[tuple, int] = {}
@@ -33,7 +43,12 @@ def d_n(a: NormalForm, n: int) -> TensorElem:
                 key = (rest, atom.index)
                 acc[key] = acc.get(key, 0) + c * mult
             elif n != 0:
-                for (part, gen), c2 in d_n(atom.argument, n).items:
+                if memo is None:
+                    memo = {}
+                d = memo.get(atom.argument)
+                if d is None:
+                    d = memoize_arguments(atom.argument, memo, lambda v: _d_n(v, n, memo))
+                for (part, gen), c2 in d.items:
                     key = (mono_mul(rest, part), gen)
                     acc[key] = acc.get(key, 0) + c * mult * n * c2
     return TensorElem.from_dict(factors, acc)

@@ -19,8 +19,8 @@ from .carrier import (
     add_scaled, elem_as_tensor, mul_items,
 )
 from .normal import (
-    GenAtom, Monomial, NormalForm, ONE_MONOMIAL, as_monoid_element, mono_mul,
-    nf_scale, nf_selfmap, nf_var, normalize,
+    GenAtom, Monomial, NormalForm, ONE_MONOMIAL, as_monoid_element,
+    memoize_arguments, mono_mul, nf_scale, nf_selfmap, nf_var, normalize,
 )
 from .terms import Term
 
@@ -115,7 +115,18 @@ CATALOG: dict[str, RigWithSelfMap] = {
 
 def evaluate(a: NormalForm, rig: RigWithSelfMap, phi: Mapping[object, int]) -> int:
     """Evaluate a value in the naturals, sending basis generator k to phi[k]
-    and the formal unary operation to the rig's map."""
+    and the formal unary operation to the rig's map.
+
+    Within one call each distinct operation argument is evaluated once, so
+    ``rig.selfmap`` must be a function: it is called once per distinct
+    argument, not once per occurrence."""
+    return _evaluate(a, rig, phi, None)
+
+
+def _evaluate(a: NormalForm, rig: RigWithSelfMap, phi: Mapping[object, int],
+              memo: dict | None) -> int:
+    """``evaluate`` with the call's memo (argument -> value of the operation
+    atom), which is created at the first operation atom."""
     total = 0
     for mono, c in a.items:
         prod = 1
@@ -125,7 +136,14 @@ def evaluate(a: NormalForm, rig: RigWithSelfMap, phi: Mapping[object, int]) -> i
                     raise ValueError(f"phi gives no image for generator {atom.index!r}")
                 prod *= phi[atom.index]
             else:
-                prod *= rig.selfmap(evaluate(atom.argument, rig, phi))
+                if memo is None:
+                    memo = {}
+                value = memo.get(atom.argument)
+                if value is None:
+                    value = memoize_arguments(
+                        atom.argument, memo,
+                        lambda v: rig.selfmap(_evaluate(v, rig, phi, memo)))
+                prod *= value
         total += c * prod
     return total
 

@@ -181,6 +181,32 @@ def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     return NormalForm.from_dict(a.carrier, mul_items(a.items, b.items, mono_mul))
 
 
+def memoize_arguments(arg: NormalForm, memo: dict, compute):
+    """Return ``memo[arg]`` for an argument that ``memo`` lacks.
+
+    First set ``memo[v] = compute(v)`` for ``arg`` and for each operation
+    argument nested in it that ``memo`` lacks, innermost first, so that every
+    argument directly inside v is in ``memo`` when ``compute(v)`` runs.  An
+    explicit stack replaces recursion: however deep the nesting of the unary
+    operation, this adds a constant number of Python frames."""
+    stack = [arg]
+    while True:
+        v = stack.pop()
+        inner = []
+        for m, _ in v.items:
+            for x in m.atoms:
+                if isinstance(x, AppAtom) and x.argument not in memo:
+                    inner.append(x.argument)
+        if inner:
+            stack.append(v)
+            stack += reversed(inner)  # first occurrence on top
+        elif not stack:
+            memo[v] = value = compute(v)
+            return value
+        elif v not in memo:  # an argument pushed twice is computed once
+            memo[v] = compute(v)
+
+
 def nf_selfmap(a: NormalForm) -> NormalForm:
     """Apply the formal unary operation: a fresh opaque atom, never expanded."""
     if not a.carrier.selfmap_enabled:
@@ -278,40 +304,54 @@ def app_letter(level: int) -> str:
     return _APP_LETTERS[level - 1] if level <= 3 else f"f{level}"
 
 
-def render_atom(atom: Atom, level: int) -> str:
-    if isinstance(atom, GenAtom):
-        if isinstance(atom.index, int):
-            return f"{var_letter(level)}[{atom.index}]"
-        return f"{var_letter(level)}[{render_monomial(atom.index, level - 1)}]"
-    return f"{app_letter(level)}({render_nf(atom.argument)})"
-
-
-def render_monomial(mono: Monomial, level: int) -> str:
-    if not mono.atoms:
-        return "1"
-    return "*".join(render_atom(a, level) for a in mono.atoms)
-
-
-def _join_terms(a: NormalForm, render_mono) -> str:
-    """Coefficient-tagged monomials in key order; ``render_mono`` spells a
-    monomial other than 1."""
-    if a.is_zero():
-        return "0"
-    pieces = []
-    for m, c in a.items:
-        if not m.atoms:
-            pieces.append(str(c))
-        elif c == 1:
-            pieces.append(render_mono(m))
-        else:
-            pieces.append(f"{c}*{render_mono(m)}")
-    return " + ".join(pieces)
+def _join_terms(spelled) -> str:
+    """Coefficient-tagged monomials in key order, from (coefficient, text)
+    pairs in which the monomial 1 is spelled "1"."""
+    return " + ".join([t if c == 1 else str(c) if t == "1" else f"{c}*{t}"
+                       for c, t in spelled]) or "0"
 
 
 def render_nf(a: NormalForm) -> str:
-    """Canonical text: coefficient-tagged monomials in key order."""
+    """Canonical text: coefficient-tagged monomials in key order.
+
+    Within one call each distinct operation argument is rendered once;
+    later occurrences, at any depth, reuse its text."""
+    return _render_nf(a, None)
+
+
+def _render_nf(a: NormalForm, memo: dict | None) -> str:
     level = a.carrier.level
-    return _join_terms(a, lambda m: render_monomial(m, level))
+    spelled = []
+    for m, c in a.items:
+        text, memo = _render_monomial(m, level, memo)
+        spelled.append((c, text))
+    return _join_terms(spelled)
+
+
+def _render_monomial(mono: Monomial, level: int,
+                     memo: dict | None) -> tuple[str, dict | None]:
+    """Text of a monomial at a level, and the call's memo (argument -> text
+    of its operation atom), which is created at the first operation atom."""
+    if not mono.atoms:
+        return "1", memo
+    parts = []
+    for atom in mono.atoms:
+        if isinstance(atom, GenAtom):
+            if isinstance(atom.index, int):
+                parts.append(f"{var_letter(level)}[{atom.index}]")
+            else:
+                inner, memo = _render_monomial(atom.index, level - 1, memo)
+                parts.append(f"{var_letter(level)}[{inner}]")
+            continue
+        if memo is None:
+            memo = {}
+        text = memo.get(atom.argument)
+        if text is None:
+            letter = app_letter(level)
+            text = memoize_arguments(atom.argument, memo,
+                                     lambda v: f"{letter}({_render_nf(v, memo)})")
+        parts.append(text)
+    return "*".join(parts), memo
 
 
 # --- structured export: lists and dicts that survive JSON exactly

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from .carrier import Carrier, FreeMonoid, MonoidElem, MonomialBasis, TensorElem
 from .normal import (
-    GenAtom, _join_terms, app_letter, as_monoid_element, from_monoid_element,
-    normalize, render_monomial, var_letter,
+    GenAtom, _join_terms, _render_monomial, app_letter, as_monoid_element,
+    from_monoid_element, normalize, var_letter,
 )
-from .terms import App, One, Prod, Sum, Term, Var, Zero, ONE, ZERO, positions
+from .terms import App, One, Prod, Sum, Term, Var, Zero, ONE, ZERO
 
 
 class ParseError(ValueError):
@@ -37,9 +37,9 @@ _VAR_NAMES = {"x", "y", "z"}
 _APP_NAMES = {"f", "g", "h"}
 
 # Deepest nesting of "(", "f(" and level-2 "[payload]" that the parser
-# accepts.  Normalizing, deriving, collapsing and printing recurse once per
-# level, and at this depth all of them stay within Python's default
-# recursion limit.
+# accepts.  Parsing, normalizing, collapsing and the structured export
+# recurse once per level, and at this depth all of them stay within Python's
+# default recursion limit.
 MAX_NESTING = 100
 
 
@@ -188,9 +188,17 @@ def parse(src: str, carrier: Carrier) -> Term:
 
 
 def _infer_carrier(term: Term) -> Carrier | None:
-    for _, sub in positions(term):
+    """The carrier of the first variable in preorder, found with an explicit
+    stack so that long chains need no recursion."""
+    stack = [term]
+    while stack:
+        sub = stack.pop()
         if isinstance(sub, Var):
             return sub.elem.carrier
+        if isinstance(sub, (Sum, Prod)):
+            stack += (sub.right, sub.left)
+        elif isinstance(sub, App):
+            stack.append(sub.body)
     return None
 
 
@@ -214,17 +222,36 @@ def _emit_atom(atom, carrier: Carrier) -> str:
 
 def emit_nf(a) -> str:
     """Render a canonical form as parseable input that normalizes back to it."""
-    return _join_terms(a, lambda m: "*".join(_emit_atom(x, a.carrier) for x in m.atoms))
+    return _join_terms(
+        (c, "*".join([_emit_atom(x, a.carrier) for x in m.atoms]) or "1")
+        for m, c in a.items)
 
 
 def print_term(term: Term, carrier: Carrier | None = None) -> str:
-    """Fully parenthesized rendering; parses back to an equal term."""
+    """Fully parenthesized rendering; parses back to an equal term.
+
+    The text is built from an explicit stack of subterms and literal pieces,
+    so long chains of sums and products need no recursion."""
     if carrier is None:
         carrier = _infer_carrier(term) or FreeMonoid(0)
-    return _print(term, carrier)
+    out = []
+    stack: list = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, (Sum, Prod)):
+            out.append("(")
+            stack += (")", item.right, " + " if isinstance(item, Sum) else " * ", item.left)
+        elif isinstance(item, App):
+            out.append(f"{app_letter(carrier.level)}(")
+            stack += (")", item.body)
+        else:
+            out.append(_print_leaf(item, carrier))
+    return "".join(out)
 
 
-def _print(term: Term, carrier: Carrier) -> str:
+def _print_leaf(term: Term, carrier: Carrier) -> str:
     if isinstance(term, Zero):
         return "0"
     if isinstance(term, One):
@@ -235,28 +262,24 @@ def _print(term: Term, carrier: Carrier) -> str:
             coords = ",".join(str(term.elem.coeff(i)) for i in range(carrier.rank))
             return f"{var_letter(level)}[{coords}]"
         return f"{var_letter(level)}[{emit_nf(from_monoid_element(term.elem))}]"
-    if isinstance(term, Sum):
-        return f"({_print(term.left, carrier)} + {_print(term.right, carrier)})"
-    if isinstance(term, Prod):
-        return f"({_print(term.left, carrier)} * {_print(term.right, carrier)})"
-    if isinstance(term, App):
-        return f"{app_letter(carrier.level)}({_print(term.body, carrier)})"
     raise TypeError(f"not a term: {term!r}")
 
 
 def render_tensor(a: TensorElem) -> str:
-    """Display text for tensor elements: coefficient-tagged pure tensors."""
-    if a.is_zero():
-        return "0"
+    """Display text for tensor elements: coefficient-tagged pure tensors.
+
+    Within one call each distinct operation argument is rendered once;
+    later occurrences, in any key and at any depth, reuse its text."""
+    memo = None
     pieces = []
     for key, c in a.items:
-        parts = " ⊗ ".join(
-            _render_factor_key(f, k) for f, k in zip(a.factors, key))
-        pieces.append(parts if c == 1 else f"{c}*({parts})")
-    return " + ".join(pieces)
-
-
-def _render_factor_key(factor: Carrier, key) -> str:
-    if isinstance(factor, FreeMonoid):
-        return f"e[{key}]"
-    return render_monomial(key, factor.base.level)
+        parts = []
+        for factor, k in zip(a.factors, key):
+            if isinstance(factor, FreeMonoid):
+                parts.append(f"e[{k}]")
+            else:
+                text, memo = _render_monomial(k, factor.base.level, memo)
+                parts.append(text)
+        joined = " ⊗ ".join(parts)
+        pieces.append(joined if c == 1 else f"{c}*({joined})")
+    return " + ".join(pieces) or "0"

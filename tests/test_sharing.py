@@ -1,0 +1,244 @@
+"""Per-call sharing of repeated operation atoms in d_n, evaluate, render_nf
+and render_tensor, and of repeated factor keys in tensor_bimap.
+
+The references below are the plain recursive definitions, which handle
+every occurrence of an atom again.  The engine handles each distinct
+operation argument once per call; on f-dense values both must agree
+exactly, and the counting tests show the work is not repeated.
+"""
+
+import random
+import time
+
+import pytest
+
+from rigdiff.carrier import (
+    FreeMonoid, MonoidElem, MonoidHom, MonomialBasis, TensorElem, tensor_bimap,
+)
+from rigdiff.cli import main
+from rigdiff.derive import d_n
+from rigdiff import normal
+from rigdiff.gen import random_term_rng
+from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate
+from rigdiff.normal import (
+    GenAtom, Monomial, apply_functor, as_monoid_element, mono_mul,
+    nf_add, nf_from_monomial, nf_mul, nf_selfmap, nf_var, normalize, render_nf,
+)
+from rigdiff.text import parse, render_tensor
+
+N1, N2 = FreeMonoid(1), FreeMonoid(2)
+L2 = MonomialBasis(N1)
+N_VALUES = (0, 1, 2, 7)
+AFFINE = RigWithSelfMap("affine", lambda v: 3 * v + 1)
+
+
+# --- plain recursive references --------------------------------------------
+
+def ref_d_n(a, n):
+    factors = (MonomialBasis(a.carrier), a.carrier)
+    acc = {}
+    for mono, c in a.items:
+        for atom, mult in mono.atom_counts():
+            rest = mono.without(atom)
+            if isinstance(atom, GenAtom):
+                key = (rest, atom.index)
+                acc[key] = acc.get(key, 0) + c * mult
+            elif n != 0:
+                for (part, gen), c2 in ref_d_n(atom.argument, n).items:
+                    key = (mono_mul(rest, part), gen)
+                    acc[key] = acc.get(key, 0) + c * mult * n * c2
+    return TensorElem.from_dict(factors, acc)
+
+
+def ref_evaluate(a, rig, phi):
+    total = 0
+    for mono, c in a.items:
+        prod = 1
+        for atom in mono.atoms:
+            if isinstance(atom, GenAtom):
+                prod *= phi[atom.index]
+            else:
+                prod *= rig.selfmap(ref_evaluate(atom.argument, rig, phi))
+        total += c * prod
+    return total
+
+
+def ref_monomial(mono, level):
+    if not mono.atoms:
+        return "1"
+    parts = []
+    for atom in mono.atoms:
+        if isinstance(atom, GenAtom):
+            index = atom.index if isinstance(atom.index, int) \
+                else ref_monomial(atom.index, level - 1)
+            parts.append(f"{normal.var_letter(level)}[{index}]")
+        else:
+            parts.append(f"{normal.app_letter(level)}({ref_render_nf(atom.argument)})")
+    return "*".join(parts)
+
+
+def ref_render_nf(a):
+    if a.is_zero():
+        return "0"
+    pieces = []
+    for m, c in a.items:
+        text = ref_monomial(m, a.carrier.level)
+        pieces.append(str(c) if not m.atoms else text if c == 1 else f"{c}*{text}")
+    return " + ".join(pieces)
+
+
+def ref_render_tensor(t):
+    if t.is_zero():
+        return "0"
+    pieces = []
+    for key, c in t.items:
+        parts = " ⊗ ".join(f"e[{k}]" if isinstance(f, FreeMonoid)
+                           else ref_monomial(k, f.base.level)
+                           for f, k in zip(t.factors, key))
+        pieces.append(parts if c == 1 else f"{c}*({parts})")
+    return " + ".join(pieces)
+
+
+# --- seeded f-dense values -------------------------------------------------
+
+def f_dense_value(rng, carrier):
+    """Random small values, combined so that atoms repeat within monomials,
+    across monomials and across nesting depth."""
+    pool = [normalize(random_term_rng(rng, carrier, 2, 1, 2), carrier) for _ in range(3)]
+    for _ in range(3):
+        a, b = rng.choice(pool), rng.choice(pool)
+        pool.append(nf_add(nf_mul(nf_selfmap(a), b), nf_selfmap(nf_add(a, b))))
+    return pool[-1]
+
+
+def generator_images(a, phi):
+    """An image for every top-level generator of ``a``, arguments included."""
+    for mono, _ in a.items:
+        for atom in mono.atoms:
+            if isinstance(atom, GenAtom):
+                phi.setdefault(atom.index, len(phi) % 4 + 1)
+            else:
+                generator_images(atom.argument, phi)
+    return phi
+
+
+@pytest.mark.parametrize("carrier", [N2, L2], ids=["level1", "level2"])
+def test_engine_agrees_with_recursive_references(carrier):
+    rng = random.Random(4242)
+    for _ in range(200):
+        a = f_dense_value(rng, carrier)
+        assert a.has_app_atoms()
+        assert render_nf(a) == ref_render_nf(a)
+        phi = generator_images(a, {})
+        assert evaluate(a, AFFINE, phi) == ref_evaluate(a, AFFINE, phi)
+        for n in N_VALUES:
+            d = d_n(a, n)
+            assert d == ref_d_n(a, n)
+            assert render_tensor(d) == ref_render_tensor(d)
+
+
+# --- the same argument at two levels ---------------------------------------
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_equal_arguments_at_two_levels_keep_their_letters(capsys):
+    # f(0) inside the payload is a level-1 atom; g(0) is a level-2 atom with
+    # an argument that prints the same.
+    assert run(capsys, "normalize", "--level", "2", "y[f(0)] + g(0)") \
+        == (0, "y[f(0)] + g(0)\n", "")
+    assert run(capsys, "derive", "--level", "2", "--n", "1", "g(0)*y[f(0)]") \
+        == (0, "g(0) ⊗ f(0)\n", "")
+
+
+# --- one computation per distinct argument ---------------------------------
+
+def fpp():
+    """f(p)*p with p of 15 monomials: f(p) occurs in every monomial."""
+    p = normalize(parse("*".join(["(x[1,0] + x[0,1] + 1)"] * 4), N2), N2)
+    assert len(p.items) == 15
+    return p, nf_mul(nf_selfmap(p), p)
+
+
+def test_selfmap_is_called_once_per_distinct_argument():
+    p, a = fpp()
+    calls = []
+    rig = RigWithSelfMap("counting", lambda v: calls.append(v) or v + 1)
+    phi = {0: 2, 1: 3}
+    assert evaluate(a, rig, phi) == ref_evaluate(a, CATALOG["successor"], phi)
+    assert calls == [ref_evaluate(p, CATALOG["identity"], phi)]
+
+
+def test_argument_is_differentiated_once(monkeypatch):
+    p, a = fpp()
+    made = []
+    from_dict = TensorElem.from_dict
+    monkeypatch.setattr(TensorElem, "from_dict", classmethod(
+        lambda cls, *args: made.append(args) or from_dict(*args)))
+    d_n(a, 2)
+    # one tensor for p, one for the whole value
+    assert len(made) == 2
+
+
+def test_argument_is_rendered_once(monkeypatch):
+    p, a = fpp()
+    letters = {"x": 0, "f": 0}
+    var_letter, app_letter = normal.var_letter, normal.app_letter
+
+    def count(letter, fn):
+        def counted(level):
+            letters[letter] += 1
+            return fn(level)
+        return counted
+
+    monkeypatch.setattr(normal, "var_letter", count("x", var_letter))
+    monkeypatch.setattr(normal, "app_letter", count("f", app_letter))
+    render_nf(a)
+    generators = sum(m.degree for m, _ in p.items)
+    # p's generators are spelled once inside f(p) and once in the cofactors
+    assert letters == {"x": 2 * generators, "f": 1}
+    d = d_n(a, 1)
+    letters.update(f=0)
+    render_tensor(d)
+    assert letters["f"] == 1
+
+
+def test_tensor_bimap_calls_each_factor_map_once_per_distinct_key():
+    p, _ = fpp()
+    h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
+    seen = {0: [], 1: []}
+
+    def map_monomial(mono):
+        seen[0].append(mono)
+        return as_monoid_element(apply_functor(h, nf_from_monomial(N2, mono)))
+
+    def map_generator(k):
+        seen[1].append(k)
+        return h.image_of(k)
+
+    d = d_n(p, 1)
+    out = tensor_bimap(d, [(map_monomial, (MonomialBasis(N2),)), (map_generator, (N2,))])
+    assert out == d_n(apply_functor(h, p), 1)
+    for pos in (0, 1):
+        assert len(seen[pos]) == len({key[pos] for key, _ in d.items})
+    assert len(seen[0]) < len(d.items)
+
+
+# --- nesting depth costs no recursion --------------------------------------
+
+def test_deep_towers_built_through_the_api():
+    depth = 2000
+    x = nf_var(MonoidElem.generator(N1, 0))
+    v = x
+    for _ in range(depth):
+        v = nf_selfmap(v)
+    start = time.perf_counter()
+    assert evaluate(v, CATALOG["successor"], {0: 5}) == depth + 5
+    assert d_n(v, 2) == TensorElem.from_dict((L2, N1), {(Monomial(()), 0): 2 ** depth})
+    text = "f(" * depth + "x[0]" + ")" * depth
+    assert render_nf(v) == text
+    assert render_tensor(d_n(nf_mul(v, x), 0)) == text + " ⊗ e[0]"
+    assert time.perf_counter() - start < 5

@@ -1,6 +1,7 @@
 """Concrete syntax: parsing, printing and the two text renderings."""
 
 import random
+import time
 
 import pytest
 
@@ -123,6 +124,14 @@ class TestPrintTerm:
     def test_level2_payload_prints_as_input_syntax(self):
         t = parse("y[x[2]]", L2)
         assert print_term(t, L2) == "y[2*x[1]]"
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_long_chains(self, op):
+        t = parse(op.join(["x[1]"] * 3000), N1)
+        start = time.perf_counter()
+        text = print_term(t)
+        assert time.perf_counter() - start < 5
+        assert text == "(" * 2999 + "x[1]" + f" {op} x[1])" * 2999
 
 
 class TestEmitNf:
