@@ -334,27 +334,36 @@ def tensor_bimap(a: TensorElem, maps: Sequence[FactorMap]) -> TensorElem:
     of its factor and returns an element over out_factors (a MonoidElem is
     accepted for single-factor outputs).  The result's factor list is the
     concatenation of the out_factors, which stays well defined even when the
-    input is zero.  Each input key's pure tensor is expanded as a plain dict
-    and added into one result dict, which is sorted once at the end.  Within
-    one call each factor map is called once per distinct key of its factor.
+    input is zero.  The maps are applied one factor per stage, last factor
+    first, into a plain dict: partial keys that become equal merge before
+    the next stage expands them, so each is expanded once.  The last dict is
+    sorted once.  Within one call each factor map is called once per
+    distinct key of its factor, and a failing map can be reported before
+    one of an earlier factor.
     """
     if len(maps) != len(a.factors):
         raise ValueError("one map per tensor factor required")
     out_factors = tuple(itertools.chain.from_iterable(fs for _, fs in maps))
-    images: list[dict] = [{} for _ in maps]  # per factor: key -> image items
-    acc: dict[tuple, int] = {}
-    for key, c in a.items:
-        piece = {(): c}
-        for (fn, fs), k, seen in zip(maps, key, images):
-            img = seen.get(k)
+    acc: dict[tuple, int] = dict(a.items)
+    for i in reversed(range(len(maps))):
+        # Positions before i still hold input keys; later ones hold images.
+        fn, fs = maps[i]
+        fs = tuple(fs)
+        images: dict = {}  # key of factor i -> image items
+        staged: dict[tuple, int] = {}
+        for key, c in acc.items():
+            img = images.get(key[i])
             if img is None:
-                img = fn(k)
+                img = fn(key[i])
                 if isinstance(img, MonoidElem):
                     img = elem_as_tensor(img)
-                if img.factors != tuple(fs):
+                if img.factors != fs:
                     raise CarrierMismatch(
                         "factor map output does not match its declared factors")
-                img = seen[k] = img.items
-            piece = mul_items(piece.items(), img, operator.add)
-        add_scaled(acc, piece.items())
+                img = images[key[i]] = img.items
+            head, tail = key[:i], key[i + 1:]
+            for k, c2 in img:
+                new = head + k + tail
+                staged[new] = staged.get(new, 0) + c * c2
+        acc = staged
     return TensorElem.from_dict(out_factors, acc)

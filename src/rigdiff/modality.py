@@ -16,11 +16,11 @@ from typing import Callable, Mapping
 
 from .carrier import (
     Carrier, CarrierMismatch, MonoidElem, MonomialBasis, TensorElem,
-    add_scaled, elem_as_tensor, mul_items,
+    elem_as_tensor,
 )
 from .normal import (
-    GenAtom, Monomial, NormalForm, ONE_MONOMIAL, as_monoid_element,
-    memoize_arguments, mono_mul, nf_scale, nf_selfmap, nf_var, normalize,
+    GenAtom, Monomial, NormalForm, as_monoid_element, extend_generators,
+    memoize_arguments, mono_mul, nf_scale, nf_var, normalize,
 )
 from .terms import Term
 
@@ -72,27 +72,15 @@ def mu(a: NormalForm) -> NormalForm:
     """Collapse one construction level.
 
     Level-2 generator atoms name level-1 monomials and are read as those
-    values; the level-2 unary operation becomes the level-1 one.  Each
-    monomial's image is expanded as a plain dict and added into one result
-    dict, which is sorted once at the end.
+    values; the level-2 unary operation becomes the level-1 one.  This is
+    ``extend_generators`` with each generator sent to its monomial, so
+    within one call each distinct operation argument is collapsed once
+    (innermost first, without recursion) and each distinct prefix of a
+    monomial's atoms is expanded once.
     """
     if not isinstance(a.carrier, MonomialBasis):
         raise CarrierMismatch(f"mu needs a level >= 2 value, got one over {a.carrier}")
-    base = a.carrier.base
-    acc: dict[Monomial, int] = {}
-    for mono, c in a.items:
-        prod = {ONE_MONOMIAL: c}
-        for atom in mono.atoms:
-            if isinstance(atom, GenAtom):
-                img = ((atom.index, 1),)
-            else:
-                inner = nf_selfmap(mu(atom.argument))
-                if inner.carrier != base:
-                    raise CarrierMismatch(f"carrier mismatch: {base} vs {inner.carrier}")
-                img = inner.items
-            prod = mul_items(prod.items(), img, mono_mul)
-        add_scaled(acc, prod.items())
-    return NormalForm.from_dict(base, acc)
+    return extend_generators(a, a.carrier, a.carrier.base, lambda mono: ((mono, 1),))
 
 
 @dataclass(frozen=True)

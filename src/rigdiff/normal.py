@@ -16,7 +16,8 @@ keeps sorting, hashing and equality cheap and deterministic.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+import operator
+from typing import Any, Callable, Iterable, Sequence
 
 from .carrier import (
     Carrier, CarrierMismatch, CoeffMap, MonoidElem, MonoidHom, MonomialBasis,
@@ -70,6 +71,9 @@ class AppAtom(Atom):
         return f"AppAtom({self.argument!r})"
 
 
+_atom_order = operator.attrgetter("order_key")
+
+
 class Monomial:
     """A finite multiset of atoms, kept sorted; the empty monomial is 1."""
 
@@ -78,9 +82,9 @@ class Monomial:
     def __init__(self, atoms: Iterable[Atom], presorted: bool = False):
         atoms = tuple(atoms)
         if not presorted:
-            atoms = tuple(sorted(atoms, key=lambda a: a.order_key))
+            atoms = tuple(sorted(atoms, key=_atom_order))
         self.atoms = atoms
-        self.order_key = (len(atoms), tuple(a.order_key for a in atoms))
+        self.order_key = (len(atoms), tuple(map(_atom_order, atoms)))
         self._hash = hash(self.order_key)
 
     def __eq__(self, other):
@@ -253,29 +257,68 @@ def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
     raise TypeError(f"not a term: {term!r}")
 
 
+def extend_generators(a: NormalForm, domain: Carrier, codomain: Carrier,
+                      gen_image: Callable[[Any], Sequence[tuple[Monomial, int]]]
+                      ) -> NormalForm:
+    """Apply to ``a`` the rig map from values over ``domain`` to values over
+    ``codomain`` that sends generator k to the value with items
+    ``gen_image(k)`` and carries the unary operation along.
+
+    Monomials that share a prefix of their sorted atoms share its image: a
+    trie of the prefixes met in one value holds one product per distinct
+    prefix, each one ``mul_items`` of its parent's product by one atom
+    image, so ``gen_image`` runs once per distinct prefix that ends in a
+    generator.  Within one call each distinct operation argument is mapped
+    once (innermost first, without recursion).  Each value's images are
+    added into one dict that is sorted once."""
+    memo: dict = {}   # operation argument -> image items of its atom
+
+    def expand(v: NormalForm) -> NormalForm:
+        if v.carrier != domain:
+            raise CarrierMismatch(f"value over {v.carrier} fed to a map from {domain}")
+        root: tuple[dict, dict] = ({ONE_MONOMIAL: 1}, {})  # (product, children)
+        acc: dict[Monomial, int] = {}
+        for mono, c in v.items:
+            prod, children = root
+            for atom in mono.atoms:
+                node = children.get(atom)
+                if node is None:
+                    if isinstance(atom, GenAtom):
+                        img = gen_image(atom.index)
+                    else:
+                        img = memo.get(atom.argument)
+                        if img is None:
+                            img = memoize_arguments(
+                                atom.argument, memo, lambda arg: nf_selfmap(expand(arg)).items)
+                    node = children[atom] = (mul_items(prod.items(), img, mono_mul), {})
+                prod, children = node
+            add_scaled(acc, prod.items(), c)
+        return NormalForm.from_dict(codomain, acc)
+
+    return expand(a)
+
+
 def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
     """Rig map induced by a carrier homomorphism.
 
     Generator atoms map to the variables of their images and the unary
-    operation is carried along; the result is again canonical.  Each
-    monomial's image is expanded as a plain dict and added into one result
-    dict, which is sorted once at the end.
+    operation is carried along; the result is again canonical.  This is
+    ``extend_generators``, so each distinct prefix of a monomial's atoms is
+    expanded once; within one call ``h.image_of`` runs once per distinct
+    generator.
     """
-    if a.carrier != h.domain:
-        raise CarrierMismatch(f"value over {a.carrier} fed to hom from {h.domain}")
-    acc: dict[Monomial, int] = {}
-    for mono, c in a.items:
-        prod = {ONE_MONOMIAL: c}
-        for atom in mono.atoms:
-            if isinstance(atom, GenAtom):
-                img = nf_var(h.image_of(atom.index))
-            else:
-                img = nf_selfmap(apply_functor(h, atom.argument))
+    images: dict = {}  # generator index -> image items
+
+    def gen_image(key):
+        img = images.get(key)
+        if img is None:
+            img = nf_var(h.image_of(key))
             if img.carrier != h.codomain:
                 raise CarrierMismatch(f"carrier mismatch: {h.codomain} vs {img.carrier}")
-            prod = mul_items(prod.items(), img.items, mono_mul)
-        add_scaled(acc, prod.items())
-    return NormalForm.from_dict(h.codomain, acc)
+            img = images[key] = img.items
+        return img
+
+    return extend_generators(a, h.domain, h.codomain, gen_image)
 
 
 def as_monoid_element(a: NormalForm) -> MonoidElem:

@@ -74,13 +74,19 @@ def term_map_hom(h: MonoidHom, t: Term) -> Term:
 
 
 def positions(t: Term) -> list[tuple[tuple[int, ...], Term]]:
-    """All subterm positions, preorder; a path is a tuple of child indices."""
-    out = [((), t)]
-    if isinstance(t, (Sum, Prod)):
-        out.extend(((0,) + p, s) for p, s in positions(t.left))
-        out.extend(((1,) + p, s) for p, s in positions(t.right))
-    elif isinstance(t, App):
-        out.extend(((0,) + p, s) for p, s in positions(t.body))
+    """All subterm positions, preorder; a path is a tuple of child indices.
+
+    An explicit stack replaces recursion, so a long chain needs no Python
+    frames per node, and each path is built once, from its parent's."""
+    out = []
+    stack = [((), t)]
+    while stack:
+        path, s = stack.pop()
+        out.append((path, s))
+        if isinstance(s, (Sum, Prod)):
+            stack += ((path + (1,), s.right), (path + (0,), s.left))
+        elif isinstance(s, App):
+            stack.append((path + (0,), s.body))
     return out
 
 

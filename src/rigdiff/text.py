@@ -37,9 +37,9 @@ _VAR_NAMES = {"x", "y", "z"}
 _APP_NAMES = {"f", "g", "h"}
 
 # Deepest nesting of "(", "f(" and level-2 "[payload]" that the parser
-# accepts.  Parsing, normalizing, collapsing and the structured export
-# recurse once per level, and at this depth all of them stay within Python's
-# default recursion limit.
+# accepts.  Parsing, normalizing and the structured export recurse once per
+# level, and at this depth all of them stay within Python's default
+# recursion limit.
 MAX_NESTING = 100
 
 

@@ -2,8 +2,11 @@
 seeded_derivation, against reference folds and at their edge cases.
 
 Each reference below sums its result step by step with ``nf_add``,
-``elem_add`` or ``tensor_add``; the engine adds into one dict and builds the
-value once.  Both must give structurally equal values.
+``elem_add`` or ``tensor_add``, expanding every monomial and every input key
+on its own; the engine adds into one dict and builds the value once,
+sharing the products of common monomial prefixes (apply_functor, mu) and
+mapping one factor at a time (tensor_bimap).  Both must give structurally
+equal values.
 """
 
 import random
@@ -24,6 +27,7 @@ from rigdiff.normal import (
     render_nf,
 )
 from rigdiff.text import parse
+from test_sharing import f_dense_value
 
 N1, N2, N3 = FreeMonoid(1), FreeMonoid(2), FreeMonoid(3)
 COLLIDE = MonoidHom.from_matrix(N2, N1, [[1], [1]])
@@ -102,6 +106,12 @@ def naturality_maps(h):
             (h.image_of, (h.codomain,))]
 
 
+def lifted_hom(h):
+    """h one level up: a hom between the monomial-basis carriers."""
+    return MonoidHom(MonomialBasis(h.domain), MonomialBasis(h.codomain),
+                     naturality_maps(h)[0][0])
+
+
 # --- agreement on seeded inputs --------------------------------------------
 
 def _seeded_values(seed, count=200):
@@ -117,6 +127,14 @@ def _seeded_values(seed, count=200):
 def test_apply_functor_matches_reference_fold():
     for _, _, a, h in _seeded_values(101):
         assert apply_functor(h, a) == ref_apply_functor(h, a)
+    # f-dense values at level 1, and at level 2 along the lifted hom
+    rng = random.Random(106)
+    for _ in range(100):
+        carrier = FreeMonoid(rng.randint(1, 3))
+        h = random_hom(rng, carrier, FreeMonoid(rng.randint(1, 3)))
+        for hom in (h, lifted_hom(h)):
+            a = f_dense_value(rng, hom.domain)
+            assert apply_functor(hom, a) == ref_apply_functor(hom, a)
 
 
 def test_mu_matches_reference_fold():
@@ -124,6 +142,8 @@ def test_mu_matches_reference_fold():
     for _ in range(200):
         level2 = MonomialBasis(FreeMonoid(rng.randint(1, 3)))
         a = normalize(random_term_rng(rng, level2, 4, 2, 3), level2)
+        assert mu(a) == ref_mu(a)
+        a = f_dense_value(rng, level2)
         assert mu(a) == ref_mu(a)
 
 
@@ -142,6 +162,25 @@ def test_tensor_bimap_matches_reference_fold():
         d = d_n(a, rng.choice((0, 1, 2, 3)))
         maps = naturality_maps(h)
         assert tensor_bimap(d, maps) == ref_tensor_bimap(d, maps)
+
+
+def test_tensor_bimap_on_three_factors_matches_reference_fold():
+    # one of the three maps widens its factor to two, at a random position
+    rng = random.Random(107)
+    for _ in range(200):
+        carrier = FreeMonoid(rng.randint(1, 3))
+        a = f_dense_value(rng, carrier) if rng.random() < 0.3 else \
+            normalize(random_term_rng(rng, carrier, 4, 1, 3), carrier)
+        third = FreeMonoid(rng.randint(1, 3))
+        t = tensor_concat(d_n(a, rng.choice((0, 1, 2))),
+                          elem_as_tensor(random_elem(rng, third, 3)))
+        homs = [random_hom(rng, c, FreeMonoid(rng.randint(1, 3))) for c in (carrier, third)]
+        maps = naturality_maps(homs[0]) + [(homs[1].image_of, (homs[1].codomain,))]
+        wide = rng.randrange(3)
+        fn, (f,) = maps[wide]
+        maps[wide] = (lambda k, fn=fn: tensor_concat(elem_as_tensor(fn(k)),
+                                                     elem_as_tensor(fn(k))), (f, f))
+        assert tensor_bimap(t, maps) == ref_tensor_bimap(t, maps)
 
 
 def test_seeded_derivation_matches_reference_fold():
@@ -177,6 +216,11 @@ class TestZeroInput:
         out = tensor_bimap(TensorElem.zero((N1,)), [
             (lambda k: tensor_pure([MonoidElem.generator(N2, 0)] * 2), (N2, N2))])
         assert out.is_zero() and out.factors == (N2, N2)
+        out = tensor_bimap(TensorElem.zero((N1, N1, N2)), [
+            (lambda k: MonoidElem.generator(N3, 0), (N3,)),
+            (lambda k: tensor_pure([MonoidElem.generator(N2, 0)] * 2), (N2, N2)),
+            (lambda k: MonoidElem.generator(N1, 0), (N1,))])
+        assert out.is_zero() and out.factors == (N3, N2, N2, N1)
 
     def test_seeded_derivation(self):
         out = seeded_derivation(NormalForm.zero(N1), nf("x[1]"))
@@ -218,6 +262,11 @@ class TestChecksStayInPlace:
                               (N1, N2))])
         with pytest.raises(CarrierMismatch, match="declared factors"):
             tensor_bimap(t, [(lambda k: MonoidElem.generator(N2, 0), (N1,))])
+        # the middle of three maps is wrong; the others are fine
+        t3 = TensorElem.from_dict((N1, N1, N1), {(0, 0, 0): 1})
+        ok = (lambda k: MonoidElem.generator(N1, k), (N1,))
+        with pytest.raises(CarrierMismatch, match="declared factors"):
+            tensor_bimap(t3, [ok, (lambda k: MonoidElem.generator(N1, k), (N1, N1)), ok])
 
     def test_bimap_checks_keys_in_the_result(self):
         t = TensorElem.from_dict((N1,), {(0,): 1})

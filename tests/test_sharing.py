@@ -1,5 +1,6 @@
-"""Per-call sharing of repeated operation atoms in d_n, evaluate, render_nf
-and render_tensor, and of repeated factor keys in tensor_bimap.
+"""Per-call sharing of repeated operation atoms in d_n, evaluate, render_nf,
+render_tensor, apply_functor and mu, of generator images in apply_functor,
+and of repeated factor keys in tensor_bimap.
 
 The references below are the plain recursive definitions, which handle
 every occurrence of an atom again.  The engine handles each distinct
@@ -19,7 +20,7 @@ from rigdiff.cli import main
 from rigdiff.derive import d_n
 from rigdiff import normal
 from rigdiff.gen import random_term_rng
-from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate
+from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate, mu, unit
 from rigdiff.normal import (
     GenAtom, Monomial, apply_functor, as_monoid_element, mono_mul,
     nf_add, nf_from_monomial, nf_mul, nf_selfmap, nf_var, normalize, render_nf,
@@ -206,6 +207,20 @@ def test_argument_is_rendered_once(monkeypatch):
     assert letters["f"] == 1
 
 
+def counting_hom(h, calls):
+    return MonoidHom(h.domain, h.codomain,
+                     lambda k: calls.append(k) or h.image_of(k))
+
+
+def test_image_of_runs_once_per_distinct_generator():
+    p, a = fpp()
+    h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
+    for value in (p, a):  # in a, p's generators occur inside f(p) and outside
+        calls = []
+        assert apply_functor(counting_hom(h, calls), value) == apply_functor(h, value)
+        assert sorted(calls) == [0, 1]
+
+
 def test_tensor_bimap_calls_each_factor_map_once_per_distinct_key():
     p, _ = fpp()
     h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
@@ -242,3 +257,18 @@ def test_deep_towers_built_through_the_api():
     assert render_nf(v) == text
     assert render_tensor(d_n(nf_mul(v, x), 0)) == text + " ⊗ e[0]"
     assert time.perf_counter() - start < 5
+    # Each level of these results is a new value whose hash walks the whole
+    # argument, so they take time quadratic in the depth; each call has its
+    # own bound.  Rendered text is compared: == on two separately built
+    # towers walks them recursively.
+    lifted = unit(as_monoid_element(x))
+    for _ in range(depth):
+        lifted = nf_selfmap(lifted)
+    double = MonoidHom.from_matrix(N1, N1, [[2]])
+    for call, want in ((lambda: apply_functor(double, v), text.replace("x[0]", "2*x[0]")),
+                       (lambda: mu(unit(as_monoid_element(v))), text),
+                       (lambda: mu(lifted), text)):  # g(g(...y[x[0]]...))
+        start = time.perf_counter()
+        out = call()
+        assert time.perf_counter() - start < 5
+        assert render_nf(out) == want

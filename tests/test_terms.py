@@ -1,13 +1,18 @@
 """Raw terms, subterm addressing and the generating rewrite rules."""
 
+import random
+import time
+
 import pytest
 
-from rigdiff.carrier import FreeMonoid, MonoidElem, MonoidHom
+from rigdiff.carrier import FreeMonoid, MonoidElem, MonoidHom, MonomialBasis
+from rigdiff.gen import random_term_rng
 from rigdiff.normal import normalize
 from rigdiff.terms import (
     App, One, Prod, RewriteRule, RuleNotApplicable, Sum, Var, Zero,
     ONE, ZERO, positions, rewrite_step, subterm_at, term_map_hom,
 )
+from rigdiff.text import parse
 
 N1 = FreeMonoid(1)
 N2 = FreeMonoid(2)
@@ -22,6 +27,34 @@ class TestAddressing:
         t = Sum(Prod(ONE, ZERO), App(ONE))
         paths = [p for p, _ in positions(t)]
         assert paths == [(), (0,), (0, 0), (0, 1), (1,), (1, 0)]
+
+    def test_positions_match_the_recursive_definition(self):
+        # gen draws rewrites from this list, so its order fixes seeded cases
+        def ref_positions(t):
+            out = [((), t)]
+            if isinstance(t, (Sum, Prod)):
+                out.extend(((0,) + p, s) for p, s in ref_positions(t.left))
+                out.extend(((1,) + p, s) for p, s in ref_positions(t.right))
+            elif isinstance(t, App):
+                out.extend(((0,) + p, s) for p, s in ref_positions(t.body))
+            return out
+
+        rng = random.Random(77)
+        for _ in range(200):
+            carrier = rng.choice((N1, N2, MonomialBasis(N1)))
+            a, b, c = (random_term_rng(rng, carrier, 6, 2, 3) for _ in range(3))
+            t = Prod(Sum(a, b), App(c))  # every node kind, even when a, b, c are leaves
+            got, want = positions(t), ref_positions(t)
+            assert got == want
+            assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+    def test_positions_of_a_long_chain(self):
+        t = parse("+".join(["x[1]"] * 3000), N1)
+        start = time.perf_counter()
+        out = positions(t)
+        assert time.perf_counter() - start < 5
+        assert len(out) == 5999
+        assert all(subterm_at(t, p) is s for p, s in out[::499])
 
     def test_subterm_at(self):
         t = Sum(Prod(ONE, ZERO), App(v(N1, {0: 1})))
