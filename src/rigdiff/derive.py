@@ -12,7 +12,7 @@ genuinely differ elsewhere.
 from __future__ import annotations
 
 from .carrier import FreeMonoid, MonomialBasis, TensorElem, add_scaled
-from .normal import GenAtom, Monomial, NormalForm, memoize_arguments, mono_mul
+from .normal import ArgumentMemo, GenAtom, Monomial, NormalForm, mono_mul
 
 
 class SymmetricModeError(ValueError):
@@ -27,12 +27,11 @@ def d_n(a: NormalForm, n: int) -> TensorElem:
     that derivative."""
     if n < 0:
         raise ValueError("the family is indexed by naturals")
-    return _d_n(a, n, None)
+    return _d_n(a, n, ArgumentMemo(lambda v, memo: _d_n(v, n, memo)))
 
 
-def _d_n(a: NormalForm, n: int, memo: dict | None) -> TensorElem:
-    """``d_n`` with the call's memo (argument -> derivative), which is
-    created at the first operation atom that needs one."""
+def _d_n(a: NormalForm, n: int, memo: ArgumentMemo) -> TensorElem:
+    """``d_n`` with the call's memo (argument -> derivative)."""
     carrier = a.carrier
     factors = (MonomialBasis(carrier), carrier)
     acc: dict[tuple, int] = {}
@@ -43,12 +42,7 @@ def _d_n(a: NormalForm, n: int, memo: dict | None) -> TensorElem:
                 key = (rest, atom.index)
                 acc[key] = acc.get(key, 0) + c * mult
             elif n != 0:
-                if memo is None:
-                    memo = {}
-                d = memo.get(atom.argument)
-                if d is None:
-                    d = memoize_arguments(atom.argument, memo, lambda v: _d_n(v, n, memo))
-                for (part, gen), c2 in d.items:
+                for (part, gen), c2 in memo[atom.argument].items:
                     key = (mono_mul(rest, part), gen)
                     acc[key] = acc.get(key, 0) + c * mult * n * c2
     return TensorElem.from_dict(factors, acc)

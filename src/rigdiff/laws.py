@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
 from .carrier import (
@@ -144,9 +143,10 @@ def _prod2(x: NormalForm, y: NormalForm) -> NormalForm:
     return nabla(tensor_pure([as_monoid_element(x), as_monoid_element(y)]))
 
 
-# --- law runners: return None on success, a message on failure ------------
+# --- law runners: d_n is the derivative under test; each returns None on
+# --- success and a message on failure
 
-def _run_rig_laws(rng, cfg, ops):
+def _run_rig_laws(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     a, b, c = (_nf(rng, cfg, carrier) for _ in range(3))
     zero, one = NormalForm.zero(carrier), NormalForm.one(carrier)
@@ -166,7 +166,7 @@ def _run_rig_laws(rng, cfg, ops):
     return None
 
 
-def _run_normalize_homomorphism(rng, cfg, ops):
+def _run_normalize_homomorphism(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     t1, t2 = _term(rng, cfg, carrier), _term(rng, cfg, carrier)
     e = random_elem(rng, carrier, cfg.max_coeff)
@@ -184,7 +184,7 @@ def _run_normalize_homomorphism(rng, cfg, ops):
     return None
 
 
-def _run_rewrite_invariance_normalize(rng, cfg, ops):
+def _run_rewrite_invariance_normalize(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     t = _term(rng, cfg, carrier)
     steps, vseed = rng.randint(1, 6), rng.getrandbits(32)
@@ -195,19 +195,19 @@ def _run_rewrite_invariance_normalize(rng, cfg, ops):
     return None
 
 
-def _run_rewrite_invariance_derivative(rng, cfg, ops):
+def _run_rewrite_invariance_derivative(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     t = _term(rng, cfg, carrier)
     steps, vseed = rng.randint(1, 6), rng.getrandbits(32)
     n = _pick_n(rng, cfg)
     v = equivalent_variant(t, steps, vseed, carrier)
-    if ops.d_n(normalize(t, carrier), n) != ops.d_n(normalize(v, carrier), n):
+    if d_n(normalize(t, carrier), n) != d_n(normalize(v, carrier), n):
         return (f"derivative changed under rewrites (n={n}):"
                 f" {print_term(t, carrier)} became {print_term(v, carrier)}")
     return None
 
 
-def _run_functor_on_terms(rng, cfg, ops):
+def _run_functor_on_terms(rng, cfg, d_n):
     dom, cod = _free(rng, cfg), _free(rng, cfg)
     h = random_hom(rng, dom, cod)
     t = _term(rng, cfg, dom)
@@ -216,7 +216,7 @@ def _run_functor_on_terms(rng, cfg, ops):
     return None
 
 
-def _run_functor_composition(rng, cfg, ops):
+def _run_functor_composition(rng, cfg, d_n):
     first = FreeMonoid(rng.choice(cfg.ranks))
     mid = FreeMonoid(rng.choice(cfg.ranks))
     last = FreeMonoid(rng.choice(cfg.ranks))
@@ -229,7 +229,7 @@ def _run_functor_composition(rng, cfg, ops):
     return None
 
 
-def _run_selfmap_not_scalar(rng, cfg, ops):
+def _run_selfmap_not_scalar(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     witnesses = (
         ("zero", NormalForm.zero(carrier)),
@@ -243,7 +243,7 @@ def _run_selfmap_not_scalar(rng, cfg, ops):
     return None
 
 
-def _run_unit_additive(rng, cfg, ops):
+def _run_unit_additive(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     e1 = random_elem(rng, carrier, cfg.max_coeff)
     e2 = random_elem(rng, carrier, cfg.max_coeff)
@@ -254,7 +254,7 @@ def _run_unit_additive(rng, cfg, ops):
     return None
 
 
-def _run_monad_unit(rng, cfg, ops):
+def _run_monad_unit(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     a = _nf(rng, cfg, carrier)
     if mu(unit(as_monoid_element(a))) != a:
@@ -267,7 +267,7 @@ def _run_monad_unit(rng, cfg, ops):
     return None
 
 
-def _run_monad_associativity(rng, cfg, ops):
+def _run_monad_associativity(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     level2 = MonomialBasis(carrier)
     level3 = MonomialBasis(level2)
@@ -282,7 +282,7 @@ def _run_monad_associativity(rng, cfg, ops):
     return None
 
 
-def _run_modality_square(rng, cfg, ops):
+def _run_modality_square(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     u2, v2 = _level2_nf(rng, cfg, carrier), _level2_nf(rng, cfg, carrier)
     lhs = mu(nabla(tensor_pure([as_monoid_element(u2), as_monoid_element(v2)])))
@@ -292,7 +292,7 @@ def _run_modality_square(rng, cfg, ops):
     return None
 
 
-def _run_monoid_structure(rng, cfg, ops):
+def _run_monoid_structure(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     a, b, c = (_nf(rng, cfg, carrier) for _ in range(3))
     if _prod2(_prod2(a, b), c) != _prod2(a, _prod2(b, c)):
@@ -305,7 +305,7 @@ def _run_monoid_structure(rng, cfg, ops):
     return None
 
 
-def _run_naturality_monoid_structure(rng, cfg, ops):
+def _run_naturality_monoid_structure(rng, cfg, d_n):
     dom, cod = _free(rng, cfg), _free(rng, cfg)
     h = random_hom(rng, dom, cod)
     a, b = _nf(rng, cfg, dom), _nf(rng, cfg, dom)
@@ -319,7 +319,7 @@ def _run_naturality_monoid_structure(rng, cfg, ops):
     return None
 
 
-def _run_evaluation_homomorphism(rng, cfg, ops):
+def _run_evaluation_homomorphism(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
     rig = CATALOG[rng.choice(sorted(CATALOG))]
@@ -343,61 +343,61 @@ def _run_evaluation_homomorphism(rng, cfg, ops):
     return None
 
 
-def _run_product_rule(rng, cfg, ops):
+def _run_product_rule(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
     n = _pick_n(rng, cfg)
-    lhs = ops.d_n(nf_mul(a, b), n)
-    left_term = nabla_at(tensor_concat(nf_as_tensor(a), ops.d_n(b, n)), 0)
+    lhs = d_n(nf_mul(a, b), n)
+    left_term = nabla_at(tensor_concat(nf_as_tensor(a), d_n(b, n)), 0)
     right_term = nabla_at(
-        tensor_permute(tensor_concat(ops.d_n(a, n), nf_as_tensor(b)), (0, 2, 1)), 0)
+        tensor_permute(tensor_concat(d_n(a, n), nf_as_tensor(b)), (0, 2, 1)), 0)
     if lhs != tensor_add(left_term, right_term):
         return f"product rule failed for a={a}, b={b}, n={n}"
     return None
 
 
-def _run_linear_rule(rng, cfg, ops):
+def _run_linear_rule(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     e = random_elem(rng, carrier, cfg.max_coeff)
     n = _pick_n(rng, cfg)
     one_elem = MonoidElem.generator(MonomialBasis(carrier), ONE_MONOMIAL)
-    if ops.d_n(unit(e), n) != tensor_pure([one_elem, e]):
+    if d_n(unit(e), n) != tensor_pure([one_elem, e]):
         return f"linear rule failed for element {e.items!r}, n={n}"
     return None
 
 
-def _run_chain_rule(rng, cfg, ops):
+def _run_chain_rule(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     level2 = MonomialBasis(carrier)
     a2 = _level2_nf(rng, cfg, carrier)
     n = _pick_n(rng, cfg)
-    lhs = ops.d_n(mu(a2), n)
+    lhs = d_n(mu(a2), n)
     maps = [
         (lambda nu: as_monoid_element(mu(nf_from_monomial(level2, nu))), (level2,)),
-        (lambda mo: ops.d_n(nf_from_monomial(carrier, mo), n), (level2, carrier)),
+        (lambda mo: d_n(nf_from_monomial(carrier, mo), n), (level2, carrier)),
     ]
-    rhs = nabla_at(tensor_bimap(ops.d_n(a2, n), maps), 0)
+    rhs = nabla_at(tensor_bimap(d_n(a2, n), maps), 0)
     if lhs != rhs:
         return f"chain rule failed for {a2}, n={n}"
     return None
 
 
-def _run_interchange_rule(rng, cfg, ops):
+def _run_interchange_rule(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     a = _nf(rng, cfg, carrier)
     n = _pick_n(rng, cfg)
     level2 = MonomialBasis(carrier)
     maps = [
-        (lambda mo: ops.d_n(nf_from_monomial(carrier, mo), n), (level2, carrier)),
+        (lambda mo: d_n(nf_from_monomial(carrier, mo), n), (level2, carrier)),
         (lambda i: MonoidElem.generator(carrier, i), (carrier,)),
     ]
-    lifted = tensor_bimap(ops.d_n(a, n), maps)
+    lifted = tensor_bimap(d_n(a, n), maps)
     if lifted != tensor_permute(lifted, (0, 2, 1)):
         return f"interchange rule failed for {a}, n={n}"
     return None
 
 
-def _run_naturality_derivative(rng, cfg, ops):
+def _run_naturality_derivative(rng, cfg, d_n):
     dom, cod = _free(rng, cfg), _free(rng, cfg)
     h = random_hom(rng, dom, cod)
     a = _nf(rng, cfg, dom)
@@ -408,37 +408,37 @@ def _run_naturality_derivative(rng, cfg, ops):
          (cod2,)),
         (lambda i: h.image_of(i), (cod,)),
     ]
-    lhs = tensor_bimap(ops.d_n(a, n), maps)
-    rhs = ops.d_n(apply_functor(h, a), n)
+    lhs = tensor_bimap(d_n(a, n), maps)
+    rhs = d_n(apply_functor(h, a), n)
     if lhs != rhs:
         return f"derivative not natural on {a}, n={n}"
     return None
 
 
-def _run_derivative_additive(rng, cfg, ops):
+def _run_derivative_additive(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
     n = _pick_n(rng, cfg)
-    if ops.d_n(nf_add(a, b), n) != tensor_add(ops.d_n(a, n), ops.d_n(b, n)):
+    if d_n(nf_add(a, b), n) != tensor_add(d_n(a, n), d_n(b, n)):
         return f"derivative not additive on a={a}, b={b}, n={n}"
-    if not ops.d_n(NormalForm.zero(carrier), n).is_zero():
+    if not d_n(NormalForm.zero(carrier), n).is_zero():
         return "derivative of zero is not zero"
     return None
 
 
-def _run_n_independence(rng, cfg, ops):
+def _run_n_independence(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     a = _nf(rng, cfg, carrier, f_depth=0)
-    base = ops.d_n(a, cfg.n_values[0])
+    base = d_n(a, cfg.n_values[0])
     for n in cfg.n_values[1:]:
-        if ops.d_n(a, n) != base:
+        if d_n(a, n) != base:
             return f"operation-free value {a} separated n={cfg.n_values[0]} from n={n}"
     return None
 
 
-def _run_distinctness(rng, cfg, ops):
+def _run_distinctness(rng, cfg, d_n):
     try:
-        pairs = check_distinctness(range(11), derive_fn=ops.d_n)
+        pairs = check_distinctness(range(11), derive_fn=d_n)
     except ValueError as exc:
         return str(exc)
     bad = [(n, v) for n, v in pairs if v != n]
@@ -530,19 +530,15 @@ def _case_seeds(suite_seed: int, law_name: str, count: int) -> list[int]:
     return [rng.getrandbits(64) for _ in range(count)]
 
 
-def _make_ops(derive_fn) -> SimpleNamespace:
-    return SimpleNamespace(d_n=derive_fn or default_d_n)
-
-
 def run_law(name: str, cfg: SuiteConfig, derive_fn=None) -> LawResult:
     """Run one law at the scale the config gives it."""
     law = _LAWS_BY_NAME[name]
-    ops = _make_ops(derive_fn)
+    derive_fn = derive_fn or default_d_n
     count = getattr(cfg, law.count_attr)
     failures = []
     started = time.perf_counter()
     for case_seed in _case_seeds(cfg.seed, law.name, count):
-        message = law.run(random.Random(case_seed), cfg, ops)
+        message = law.run(random.Random(case_seed), cfg, derive_fn)
         if message is not None:
             failures.append(Failure(law.name, case_seed, message))
     seconds = time.perf_counter() - started
@@ -553,7 +549,7 @@ def replay_case(name: str, case_seed: int, cfg: SuiteConfig,
                 derive_fn=None) -> Optional[str]:
     """Re-run one recorded case; returns the failure message or None."""
     law = _LAWS_BY_NAME[name]
-    return law.run(random.Random(case_seed), cfg, _make_ops(derive_fn))
+    return law.run(random.Random(case_seed), cfg, derive_fn or default_d_n)
 
 
 def check_laws(cfg: SuiteConfig = SuiteConfig(), derive_fn=None) -> LawReport:

@@ -19,8 +19,8 @@ from .carrier import (
     elem_as_tensor,
 )
 from .normal import (
-    GenAtom, Monomial, NormalForm, as_monoid_element, extend_generators,
-    memoize_arguments, mono_mul, nf_scale, nf_var, normalize,
+    ArgumentMemo, GenAtom, Monomial, NormalForm, as_monoid_element,
+    extend_generators, mono_mul, nf_scale, nf_var, normalize,
 )
 from .terms import Term
 
@@ -108,13 +108,13 @@ def evaluate(a: NormalForm, rig: RigWithSelfMap, phi: Mapping[object, int]) -> i
     Within one call each distinct operation argument is evaluated once, so
     ``rig.selfmap`` must be a function: it is called once per distinct
     argument, not once per occurrence."""
-    return _evaluate(a, rig, phi, None)
+    return _evaluate(a, phi, ArgumentMemo(
+        lambda v, memo: rig.selfmap(_evaluate(v, phi, memo))))
 
 
-def _evaluate(a: NormalForm, rig: RigWithSelfMap, phi: Mapping[object, int],
-              memo: dict | None) -> int:
+def _evaluate(a: NormalForm, phi: Mapping[object, int], memo: ArgumentMemo) -> int:
     """``evaluate`` with the call's memo (argument -> value of the operation
-    atom), which is created at the first operation atom."""
+    atom)."""
     total = 0
     for mono, c in a.items:
         prod = 1
@@ -124,14 +124,7 @@ def _evaluate(a: NormalForm, rig: RigWithSelfMap, phi: Mapping[object, int],
                     raise ValueError(f"phi gives no image for generator {atom.index!r}")
                 prod *= phi[atom.index]
             else:
-                if memo is None:
-                    memo = {}
-                value = memo.get(atom.argument)
-                if value is None:
-                    value = memoize_arguments(
-                        atom.argument, memo,
-                        lambda v: rig.selfmap(_evaluate(v, rig, phi, memo)))
-                prod *= value
+                prod *= memo[atom.argument]
         total += c * prod
     return total
 

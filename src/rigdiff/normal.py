@@ -185,30 +185,38 @@ def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     return NormalForm.from_dict(a.carrier, mul_items(a.items, b.items, mono_mul))
 
 
-def memoize_arguments(arg: NormalForm, memo: dict, compute):
-    """Return ``memo[arg]`` for an argument that ``memo`` lacks.
+class ArgumentMemo(dict):
+    """One walk's results per operation argument: ``memo[arg]`` is
+    ``compute(arg, memo)``, computed once.  A miss first fills in every
+    argument nested in ``arg`` that the memo lacks, innermost first, so
+    ``compute(v, memo)`` finds each argument directly inside v as
+    ``memo[atom.argument]``.  An explicit stack replaces recursion: however
+    deep the nesting of the unary operation, a miss adds a constant number
+    of Python frames.  ``compute`` gets the memo as an argument, so it need
+    not refer to it, and the memo is freed without a reference cycle."""
 
-    First set ``memo[v] = compute(v)`` for ``arg`` and for each operation
-    argument nested in it that ``memo`` lacks, innermost first, so that every
-    argument directly inside v is in ``memo`` when ``compute(v)`` runs.  An
-    explicit stack replaces recursion: however deep the nesting of the unary
-    operation, this adds a constant number of Python frames."""
-    stack = [arg]
-    while True:
-        v = stack.pop()
-        inner = []
-        for m, _ in v.items:
-            for x in m.atoms:
-                if isinstance(x, AppAtom) and x.argument not in memo:
-                    inner.append(x.argument)
-        if inner:
-            stack.append(v)
-            stack += reversed(inner)  # first occurrence on top
-        elif not stack:
-            memo[v] = value = compute(v)
-            return value
-        elif v not in memo:  # an argument pushed twice is computed once
-            memo[v] = compute(v)
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[NormalForm, "ArgumentMemo"], Any]):
+        self.compute = compute
+
+    def __missing__(self, arg: NormalForm):
+        stack = [arg]
+        while True:
+            v = stack.pop()
+            inner = []
+            for m, _ in v.items:
+                for x in m.atoms:
+                    if isinstance(x, AppAtom) and x.argument not in self:
+                        inner.append(x.argument)
+            if inner:
+                stack.append(v)
+                stack += reversed(inner)  # first occurrence on top
+            elif not stack:
+                self[v] = value = self.compute(v, self)
+                return value
+            elif v not in self:  # an argument pushed twice is computed once
+                self[v] = self.compute(v, self)
 
 
 def nf_selfmap(a: NormalForm) -> NormalForm:
@@ -223,7 +231,8 @@ def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
 
     A run of sums is walked with an explicit stack and added into one dict
     that is sorted once; a left spine of products is multiplied out in a
-    loop.  So long chains of either need no recursion."""
+    loop, and so is a run of unary operations.  So long chains of any of
+    them need no recursion."""
     if isinstance(term, t.Zero):
         return NormalForm.zero(carrier)
     if isinstance(term, t.One):
@@ -253,7 +262,13 @@ def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
             out = nf_mul(out, normalize(right, carrier))
         return out
     if isinstance(term, t.App):
-        return nf_selfmap(normalize(term.body, carrier))
+        depth = 0
+        while isinstance(term, t.App):
+            term, depth = term.body, depth + 1
+        out = normalize(term, carrier)
+        for _ in range(depth):
+            out = nf_selfmap(out)
+        return out
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -271,9 +286,8 @@ def extend_generators(a: NormalForm, domain: Carrier, codomain: Carrier,
     generator.  Within one call each distinct operation argument is mapped
     once (innermost first, without recursion).  Each value's images are
     added into one dict that is sorted once."""
-    memo: dict = {}   # operation argument -> image items of its atom
 
-    def expand(v: NormalForm) -> NormalForm:
+    def expand(v: NormalForm, memo: ArgumentMemo) -> NormalForm:
         if v.carrier != domain:
             raise CarrierMismatch(f"value over {v.carrier} fed to a map from {domain}")
         root: tuple[dict, dict] = ({ONE_MONOMIAL: 1}, {})  # (product, children)
@@ -286,16 +300,14 @@ def extend_generators(a: NormalForm, domain: Carrier, codomain: Carrier,
                     if isinstance(atom, GenAtom):
                         img = gen_image(atom.index)
                     else:
-                        img = memo.get(atom.argument)
-                        if img is None:
-                            img = memoize_arguments(
-                                atom.argument, memo, lambda arg: nf_selfmap(expand(arg)).items)
+                        img = memo[atom.argument]
                     node = children[atom] = (mul_items(prod.items(), img, mono_mul), {})
                 prod, children = node
             add_scaled(acc, prod.items(), c)
         return NormalForm.from_dict(codomain, acc)
 
-    return expand(a)
+    # operation argument -> image items of its atom
+    return expand(a, ArgumentMemo(lambda arg, memo: nf_selfmap(expand(arg, memo)).items))
 
 
 def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
@@ -332,8 +344,8 @@ def from_monoid_element(e: MonoidElem) -> NormalForm:
     return NormalForm(e.carrier.base, e.items)
 
 
-# --- textual rendering (display syntax; machine round trips use the
-# --- structured export below)
+# --- textual rendering: display text, and parseable input for
+# --- ``text.emit_nf``; machine round trips use the structured export below
 
 _VAR_LETTERS = "xyz"
 _APP_LETTERS = "fgh"
@@ -347,69 +359,72 @@ def app_letter(level: int) -> str:
     return _APP_LETTERS[level - 1] if level <= 3 else f"f{level}"
 
 
-def _join_terms(spelled) -> str:
-    """Coefficient-tagged monomials in key order, from (coefficient, text)
-    pairs in which the monomial 1 is spelled "1"."""
-    return " + ".join([t if c == 1 else str(c) if t == "1" else f"{c}*{t}"
-                       for c, t in spelled]) or "0"
-
-
 def render_nf(a: NormalForm) -> str:
     """Canonical text: coefficient-tagged monomials in key order.
 
     Within one call each distinct operation argument is rendered once;
     later occurrences, at any depth, reuse its text."""
-    return _render_nf(a, None)
+    return _render_nf(a, _render_memo(False), False)
 
 
-def _render_nf(a: NormalForm, memo: dict | None) -> str:
-    level = a.carrier.level
-    spelled = []
-    for m, c in a.items:
-        text, memo = _render_monomial(m, level, memo)
-        spelled.append((c, text))
-    return _join_terms(spelled)
+def _render_memo(parseable: bool) -> ArgumentMemo:
+    """One rendering call's memo: argument -> text of its operation atom."""
+    return ArgumentMemo(
+        lambda v, memo: f"{app_letter(v.carrier.level)}({_render_nf(v, memo, parseable)})")
 
 
-def _render_monomial(mono: Monomial, level: int,
-                     memo: dict | None) -> tuple[str, dict | None]:
-    """Text of a monomial at a level, and the call's memo (argument -> text
-    of its operation atom), which is created at the first operation atom."""
+def _render_nf(a: NormalForm, memo: ArgumentMemo, parseable: bool) -> str:
+    spelled = [(c, _render_monomial(m, a.carrier, memo, parseable)) for m, c in a.items]
+    return " + ".join([t if c == 1 else str(c) if t == "1" else f"{c}*{t}"
+                       for c, t in spelled]) or "0"
+
+
+def _render_monomial(mono: Monomial, carrier: Carrier, memo: ArgumentMemo,
+                     parseable: bool) -> str:
+    """Text of a monomial over a carrier.  A level-1 generator is spelled by
+    its index (``x[1]``) for display, or as the unit vector that the
+    grammar reads back (``x[0,1]``) when ``parseable`` is set."""
     if not mono.atoms:
-        return "1", memo
+        return "1"
+    level = carrier.level
     parts = []
     for atom in mono.atoms:
-        if isinstance(atom, GenAtom):
-            if isinstance(atom.index, int):
-                parts.append(f"{var_letter(level)}[{atom.index}]")
-            else:
-                inner, memo = _render_monomial(atom.index, level - 1, memo)
-                parts.append(f"{var_letter(level)}[{inner}]")
+        if isinstance(atom, AppAtom):
+            parts.append(memo[atom.argument])
             continue
-        if memo is None:
-            memo = {}
-        text = memo.get(atom.argument)
-        if text is None:
-            letter = app_letter(level)
-            text = memoize_arguments(atom.argument, memo,
-                                     lambda v: f"{letter}({_render_nf(v, memo)})")
-        parts.append(text)
-    return "*".join(parts), memo
+        k = atom.index
+        if isinstance(carrier, MonomialBasis):
+            k = _render_monomial(k, carrier.base, memo, parseable)
+        elif parseable:
+            k = ",".join("1" if i == k else "0" for i in range(carrier.rank))
+        parts.append(f"{var_letter(level)}[{k}]")
+    return "*".join(parts)
 
 
 # --- structured export: lists and dicts that survive JSON exactly
 
-def atom_to_obj(atom: Atom):
-    if isinstance(atom, GenAtom):
-        if isinstance(atom.index, int):
-            return {"gen": atom.index}
-        return {"gen": [atom_to_obj(a) for a in atom.index.atoms]}
-    return {"app": nf_to_obj(atom.argument)}
+def _app_obj(arg: NormalForm, memo: ArgumentMemo) -> dict:
+    return {"app": _nf_obj(arg, memo)}
+
+
+def _atom_to_obj(atom: Atom, memo: ArgumentMemo):
+    if isinstance(atom, AppAtom):
+        return memo[atom.argument]
+    if isinstance(atom.index, int):
+        return {"gen": atom.index}
+    return {"gen": [_atom_to_obj(a, memo) for a in atom.index.atoms]}
+
+
+def _nf_obj(a: NormalForm, memo: ArgumentMemo) -> list:
+    return [{"coeff": c, "atoms": [_atom_to_obj(x, memo) for x in m.atoms]}
+            for m, c in a.items]
 
 
 def nf_to_obj(a: NormalForm) -> list:
-    return [{"coeff": c, "atoms": [atom_to_obj(x) for x in m.atoms]}
-            for m, c in a.items]
+    """Structured view of a value.  Each distinct operation argument is
+    converted once per call and its occurrences share that object, so copy
+    the result before mutating any part of it."""
+    return _nf_obj(a, ArgumentMemo(_app_obj))
 
 
 def _atom_from_obj(carrier: Carrier, obj) -> Atom:
@@ -435,10 +450,12 @@ def nf_from_obj(carrier: Carrier, obj) -> NormalForm:
 
 
 def tensor_to_obj(a) -> dict:
-    """Structured view of a tensor element (one-way; for output and diffing)."""
+    """Structured view of a tensor element (one-way; for output and diffing);
+    it shares sub-objects as ``nf_to_obj`` does."""
+    memo = ArgumentMemo(_app_obj)
 
     def key_obj(k):
-        return k if isinstance(k, int) else [atom_to_obj(x) for x in k.atoms]
+        return k if isinstance(k, int) else [_atom_to_obj(x, memo) for x in k.atoms]
 
     return {
         "factors": [str(f) for f in a.factors],

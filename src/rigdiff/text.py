@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .carrier import Carrier, FreeMonoid, MonoidElem, MonomialBasis, TensorElem
 from .normal import (
-    GenAtom, _join_terms, _render_monomial, app_letter, as_monoid_element,
+    _render_memo, _render_monomial, _render_nf, app_letter, as_monoid_element,
     from_monoid_element, normalize, var_letter,
 )
 from .terms import App, One, Prod, Sum, Term, Var, Zero, ONE, ZERO
@@ -37,9 +37,10 @@ _VAR_NAMES = {"x", "y", "z"}
 _APP_NAMES = {"f", "g", "h"}
 
 # Deepest nesting of "(", "f(" and level-2 "[payload]" that the parser
-# accepts.  Parsing, normalizing and the structured export recurse once per
-# level, and at this depth all of them stay within Python's default
-# recursion limit.
+# accepts.  Parsing, reading structured input (``nf_from_obj``) and
+# normalizing an ``f(...)`` under a sum or product recurse once per level,
+# and at this depth all of them stay within Python's default recursion
+# limit.
 MAX_NESTING = 100
 
 
@@ -202,29 +203,14 @@ def _infer_carrier(term: Term) -> Carrier | None:
     return None
 
 
-# Input-syntax emission.  Display text writes a generator atom by its index
-# (``x[0]``), but the grammar reads ``x[...]`` as a coordinate vector, so
-# anything meant to be parsed back (payload brackets in particular) must
-# spell generator atoms as unit vectors instead.
-
-def _emit_atom(atom, carrier: Carrier) -> str:
-    level = carrier.level
-    if isinstance(atom, GenAtom):
-        if isinstance(carrier, FreeMonoid):
-            coords = ",".join("1" if i == atom.index else "0"
-                              for i in range(carrier.rank))
-            return f"{var_letter(level)}[{coords}]"
-        inner = emit_nf(from_monoid_element(
-            MonoidElem.generator(carrier, atom.index)))
-        return f"{var_letter(level)}[{inner}]"
-    return f"{app_letter(level)}({emit_nf(atom.argument)})"
-
-
 def emit_nf(a) -> str:
-    """Render a canonical form as parseable input that normalizes back to it."""
-    return _join_terms(
-        (c, "*".join([_emit_atom(x, a.carrier) for x in m.atoms]) or "1")
-        for m, c in a.items)
+    """Render a canonical form as parseable input that normalizes back to it.
+
+    This is the display text with each level-1 generator spelled as a unit
+    vector (``x[0,1]``, not ``x[1]``), since the grammar reads ``x[...]`` as
+    a coordinate vector.  Within one call each distinct operation argument
+    is rendered once."""
+    return _render_nf(a, _render_memo(True), True)
 
 
 def print_term(term: Term, carrier: Carrier | None = None) -> str:
@@ -270,7 +256,7 @@ def render_tensor(a: TensorElem) -> str:
 
     Within one call each distinct operation argument is rendered once;
     later occurrences, in any key and at any depth, reuse its text."""
-    memo = None
+    memo = _render_memo(False)
     pieces = []
     for key, c in a.items:
         parts = []
@@ -278,8 +264,7 @@ def render_tensor(a: TensorElem) -> str:
             if isinstance(factor, FreeMonoid):
                 parts.append(f"e[{k}]")
             else:
-                text, memo = _render_monomial(k, factor.base.level, memo)
-                parts.append(text)
+                parts.append(_render_monomial(k, factor.base, memo, False))
         joined = " ⊗ ".join(parts)
         pieces.append(joined if c == 1 else f"{c}*({joined})")
     return " + ".join(pieces) or "0"

@@ -1,7 +1,9 @@
 """End-to-end command line behavior through main(argv)."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +250,41 @@ class TestErrors:
             [sys.executable, "-m", "rigdiff", "normalize", "x[2]+x[3]"],
             capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "5*x[0]\n"
+
+
+# --- the README's command line examples, as printed there
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(argv, shown output lines) for each ``$ rigdiff ...`` line of the
+    README's "Command line" section, up to the next blank line."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```sh\n")[1:]:
+        for chunk in block.split("```", 1)[0].strip().split("\n\n"):
+            command, *shown = chunk.split("\n")
+            assert command.startswith("$ rigdiff "), command
+            examples.append((shlex.split(command)[2:], shown))
+    return examples
+
+
+@pytest.mark.parametrize("argv, shown", [
+    pytest.param(argv, shown, id=" ".join(argv))
+    for argv, shown in readme_examples() if argv[0] != "laws"])
+def test_readme_examples(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if "..." in shown:  # it elides the middle of the output: match both ends
+        cut = shown.index("...")
+        head, tail = shown[:cut], shown[cut + 1:]
+        assert lines[:len(head)] == head and lines[len(lines) - len(tail):] == tail
+    else:
+        assert lines == shown
+
+
+def test_readme_examples_are_found():
+    commands = [argv[0] for argv, _ in readme_examples()]
+    assert commands.count("laws") == 1 and len(commands) == 9

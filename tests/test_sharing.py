@@ -1,6 +1,7 @@
 """Per-call sharing of repeated operation atoms in d_n, evaluate, render_nf,
-render_tensor, apply_functor and mu, of generator images in apply_functor,
-and of repeated factor keys in tensor_bimap.
+render_tensor, emit_nf, nf_to_obj, tensor_to_obj, apply_functor and mu, of
+generator images in apply_functor, and of repeated factor keys in
+tensor_bimap.
 
 The references below are the plain recursive definitions, which handle
 every occurrence of an atom again.  The engine handles each distinct
@@ -8,6 +9,7 @@ operation argument once per call; on f-dense values both must agree
 exactly, and the counting tests show the work is not repeated.
 """
 
+import gc
 import random
 import time
 
@@ -18,14 +20,15 @@ from rigdiff.carrier import (
 )
 from rigdiff.cli import main
 from rigdiff.derive import d_n
-from rigdiff import normal
+from rigdiff import normal, terms
 from rigdiff.gen import random_term_rng
 from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate, mu, unit
 from rigdiff.normal import (
-    GenAtom, Monomial, apply_functor, as_monoid_element, mono_mul,
-    nf_add, nf_from_monomial, nf_mul, nf_selfmap, nf_var, normalize, render_nf,
+    GenAtom, Monomial, apply_functor, as_monoid_element, from_monoid_element,
+    mono_mul, nf_add, nf_from_monomial, nf_mul, nf_selfmap, nf_to_obj, nf_var,
+    normalize, render_nf, tensor_to_obj,
 )
-from rigdiff.text import parse, render_tensor
+from rigdiff.text import emit_nf, parse, render_tensor
 
 N1, N2 = FreeMonoid(1), FreeMonoid(2)
 L2 = MonomialBasis(N1)
@@ -100,6 +103,50 @@ def ref_render_tensor(t):
     return " + ".join(pieces)
 
 
+def ref_emit_atom(atom, carrier):
+    level = carrier.level
+    if isinstance(atom, GenAtom):
+        if isinstance(carrier, FreeMonoid):
+            coords = ",".join("1" if i == atom.index else "0"
+                              for i in range(carrier.rank))
+            return f"{normal.var_letter(level)}[{coords}]"
+        inner = ref_emit_nf(from_monoid_element(
+            MonoidElem.generator(carrier, atom.index)))
+        return f"{normal.var_letter(level)}[{inner}]"
+    return f"{normal.app_letter(level)}({ref_emit_nf(atom.argument)})"
+
+
+def ref_emit_nf(a):
+    pieces = []
+    for m, c in a.items:
+        text = "*".join(ref_emit_atom(x, a.carrier) for x in m.atoms) or "1"
+        pieces.append(text if c == 1 else str(c) if text == "1" else f"{c}*{text}")
+    return " + ".join(pieces) or "0"
+
+
+def ref_atom_to_obj(atom):
+    if isinstance(atom, GenAtom):
+        if isinstance(atom.index, int):
+            return {"gen": atom.index}
+        return {"gen": [ref_atom_to_obj(a) for a in atom.index.atoms]}
+    return {"app": ref_nf_to_obj(atom.argument)}
+
+
+def ref_nf_to_obj(a):
+    return [{"coeff": c, "atoms": [ref_atom_to_obj(x) for x in m.atoms]}
+            for m, c in a.items]
+
+
+def ref_tensor_to_obj(t):
+    return {
+        "factors": [str(f) for f in t.factors],
+        "items": [{"coeff": c, "key": [k if isinstance(k, int)
+                                       else [ref_atom_to_obj(x) for x in k.atoms]
+                                       for k in key]}
+                  for key, c in t.items],
+    }
+
+
 # --- seeded f-dense values -------------------------------------------------
 
 def f_dense_value(rng, carrier):
@@ -130,12 +177,15 @@ def test_engine_agrees_with_recursive_references(carrier):
         a = f_dense_value(rng, carrier)
         assert a.has_app_atoms()
         assert render_nf(a) == ref_render_nf(a)
+        assert emit_nf(a) == ref_emit_nf(a)
+        assert nf_to_obj(a) == ref_nf_to_obj(a)
         phi = generator_images(a, {})
         assert evaluate(a, AFFINE, phi) == ref_evaluate(a, AFFINE, phi)
         for n in N_VALUES:
             d = d_n(a, n)
             assert d == ref_d_n(a, n)
             assert render_tensor(d) == ref_render_tensor(d)
+            assert tensor_to_obj(d) == ref_tensor_to_obj(d)
 
 
 # --- the same argument at two levels ---------------------------------------
@@ -205,6 +255,41 @@ def test_argument_is_rendered_once(monkeypatch):
     letters.update(f=0)
     render_tensor(d)
     assert letters["f"] == 1
+    letters.update(x=0, f=0)
+    emit_nf(a)
+    assert letters == {"x": 2 * generators, "f": 1}
+
+
+def test_argument_object_is_shared():
+    p, a = fpp()
+    apps = [x for entry in nf_to_obj(a) for x in entry["atoms"] if "app" in x]
+    assert len(apps) == len(p.items) and all(x is apps[0] for x in apps)
+    keys = [part for item in tensor_to_obj(d_n(a, 0))["items"]
+            for part in item["key"][0] if "app" in part]
+    assert len(keys) > 1 and all(x is keys[0] for x in keys)
+
+
+def test_walks_leave_no_reference_cycles():
+    # A memo that its own compute function refers to, or a nested walker
+    # that calls itself, would make a cycle, and each call's memo and
+    # intermediate results would then wait for the cyclic collector.
+    p, a = fpp()
+    h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
+    d = d_n(a, 1)
+    calls = (lambda: d_n(a, 1), lambda: evaluate(a, AFFINE, {0: 2, 1: 3}),
+             lambda: render_nf(a), lambda: emit_nf(a), lambda: render_tensor(d),
+             lambda: nf_to_obj(a), lambda: tensor_to_obj(d),
+             lambda: apply_functor(h, a), lambda: mu(unit(as_monoid_element(a))))
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for call in calls:
+            call()
+            found.append(gc.collect())
+        assert found == [0] * len(calls)
+    finally:
+        gc.enable()
 
 
 def counting_hom(h, calls):
@@ -244,6 +329,17 @@ def test_tensor_bimap_calls_each_factor_map_once_per_distinct_key():
 
 # --- nesting depth costs no recursion --------------------------------------
 
+def obj_tower(atoms):
+    """The number of nested one-atom "app" levels in structured atoms, and
+    the atoms at the bottom, found without recursion."""
+    depth = 0
+    while "app" in atoms[0]:
+        [atom] = atoms
+        [entry] = atom["app"]
+        atoms, depth = entry["atoms"], depth + 1
+    return depth, atoms
+
+
 def test_deep_towers_built_through_the_api():
     depth = 2000
     x = nf_var(MonoidElem.generator(N1, 0))
@@ -256,6 +352,17 @@ def test_deep_towers_built_through_the_api():
     text = "f(" * depth + "x[0]" + ")" * depth
     assert render_nf(v) == text
     assert render_tensor(d_n(nf_mul(v, x), 0)) == text + " ⊗ e[0]"
+    assert emit_nf(v) == text.replace("x[0]", "x[1]")
+    [entry] = nf_to_obj(v)
+    [[key, gen]] = [item["key"] for item in tensor_to_obj(d_n(nf_mul(v, x), 0))["items"]]
+    assert gen == 0
+    assert obj_tower(entry["atoms"]) == obj_tower(key) == (depth, [{"gen": 0}])
+    assert time.perf_counter() - start < 5
+    term = terms.Var(MonoidElem.generator(N1, 0))
+    for _ in range(depth):
+        term = terms.App(term)
+    start = time.perf_counter()
+    assert render_nf(normalize(term, N1)) == text
     assert time.perf_counter() - start < 5
     # Each level of these results is a new value whose hash walks the whole
     # argument, so they take time quadratic in the depth; each call has its
