@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .carrier import Carrier, FreeMonoid, MonoidElem, MonoidHom, MonomialBasis
+from .carrier import Carrier, FreeMonoid, MonoidElem, MonoidHom
 from .normal import as_monoid_element, normalize
 from .terms import (
     App, One, Prod, RewriteRule, Sum, Term, Var, Zero, ONE, ZERO,

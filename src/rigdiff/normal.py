@@ -8,15 +8,23 @@ normalization, so no atom ever mentions a composite carrier element, and two
 expressions denote the same rig value exactly when their canonical forms are
 structurally equal.
 
-Every object carries a precomputed ``order_key``: a nested tuple that both
-totally orders values of the same shape and encodes them injectively, which
-keeps sorting, hashing and equality cheap and deterministic.
+Every object has an ``order_key``: a nested tuple that both totally orders
+values of the same shape and encodes them injectively, so sorting and
+equality are deterministic.  Equal operation atoms are one object
+(hash-consing), so their keys are one tuple wherever they are nested, and
+comparing two equal values stops at identity one atom deep.  An operation
+atom's key is ``(1, argument key, h)``, a tuple that hashes as the stored
+``h``: a monomial or value hashes each atom key in constant time, so hashing
+a nested value does not walk its depth.  Sorting is as without ``h``, which
+a comparison reaches only when the two argument keys are equal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
+import weakref
 from typing import Any, Callable, Iterable, Sequence
 
 from .carrier import (
@@ -57,15 +65,39 @@ class GenAtom(Atom):
         return f"GenAtom({self.index!r})"
 
 
+class _AtomKey(tuple):
+    """An operation atom's order key ``(1, argument key, h)``, hashed as h."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return self[2]
+
+
+# argument -> weak reference to its live atom; an entry leaves when its atom dies
+_app_atoms: dict["NormalForm", weakref.ref] = {}
+
+
 class AppAtom(Atom):
-    """The unary operation applied to a canonical form; opaque as a factor."""
+    """The unary operation applied to a canonical form; opaque as a factor.
 
-    __slots__ = ("argument",)
+    Hash-consed: ``AppAtom(a)`` is the one live atom of any value equal to
+    ``a``, so equal atoms are one object and keep the argument they were
+    first built with."""
 
-    def __init__(self, argument: "NormalForm"):
-        self.argument = argument
-        self.order_key = (1, argument.order_key)
-        self._hash = hash(self.order_key)
+    __slots__ = ("argument", "__weakref__")
+
+    def __new__(cls, argument: "NormalForm"):
+        ref = _app_atoms.get(argument)
+        atom = ref and ref()
+        if atom is None:
+            atom = object.__new__(cls)
+            atom.argument = argument
+            atom._hash = h = hash((1, argument._hash))
+            atom.order_key = _AtomKey((1, argument.order_key, h))
+            _app_atoms[argument] = weakref.ref(
+                atom, functools.partial(_app_atoms.pop, argument))
+        return atom
 
     def __repr__(self):
         return f"AppAtom({self.argument!r})"
@@ -120,15 +152,24 @@ class NormalForm(CoeffMap):
     """Canonical rig value: sorted (monomial, positive coefficient) pairs.
 
     Its keys are not checked: ``from_dict`` is on every hot path, and every
-    monomial key is built by this module."""
+    monomial key is built by this module.  ``order_key`` and the hash are
+    built on first use: most values are never compared, hashed or wrapped
+    in an operation atom."""
 
     __slots__ = ("carrier", "items", "order_key", "_hash")
 
     def __init__(self, carrier: Carrier, items: tuple[tuple[Monomial, int], ...]):
         self.carrier = carrier
         self.items = items
-        self.order_key = tuple((m.order_key, c) for m, c in items)
-        self._hash = hash((carrier, self.order_key))
+
+    def __getattr__(self, name):  # only reached while a slot is unset
+        if name == "order_key":
+            self.order_key = key = tuple((m.order_key, c) for m, c in self.items)
+            return key
+        if name == "_hash":
+            self._hash = h = hash((self.carrier, self.order_key))
+            return h
+        raise AttributeError(name)
 
     @staticmethod
     def _item_order(item):

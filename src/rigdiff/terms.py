@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carrier import Carrier, MonoidElem, MonoidHom, elem_add, hom_apply
+from .carrier import MonoidElem, MonoidHom, elem_add, hom_apply
 
 
 class Term:

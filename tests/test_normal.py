@@ -34,8 +34,10 @@ class TestAtomsAndMonomials:
         assert GenAtom(0) == GenAtom(0) and hash(GenAtom(0)) == hash(GenAtom(0))
         assert GenAtom(0) != GenAtom(1)
         wrapped = AppAtom(NormalForm.zero(N1))
-        assert wrapped == AppAtom(NormalForm.zero(N1))
+        assert wrapped is AppAtom(NormalForm.zero(N1))
         assert wrapped != GenAtom(0)
+        # equal items over another carrier make another atom
+        assert AppAtom(NormalForm.zero(N2)) != wrapped
 
     def test_monomials_sort_their_atoms(self):
         assert Monomial((G1, G0)) == Monomial((G0, G1))

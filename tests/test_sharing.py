@@ -7,10 +7,17 @@ The references below are the plain recursive definitions, which handle
 every occurrence of an atom again.  The engine handles each distinct
 operation argument once per call; on f-dense values both must agree
 exactly, and the counting tests show the work is not repeated.
+
+Operation atoms are hash-consed: equal atoms are one object, however and
+wherever their values were built, so nested values hash and compare equal
+without walking their depth.
 """
 
 import gc
+import json
+import operator
 import random
+import sys
 import time
 
 import pytest
@@ -24,9 +31,9 @@ from rigdiff import normal, terms
 from rigdiff.gen import random_term_rng
 from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate, mu, unit
 from rigdiff.normal import (
-    GenAtom, Monomial, apply_functor, as_monoid_element, from_monoid_element,
-    mono_mul, nf_add, nf_from_monomial, nf_mul, nf_selfmap, nf_to_obj, nf_var,
-    normalize, render_nf, tensor_to_obj,
+    AppAtom, GenAtom, Monomial, apply_functor, as_monoid_element,
+    from_monoid_element, mono_mul, nf_add, nf_from_monomial, nf_from_obj, nf_mul,
+    nf_selfmap, nf_to_obj, nf_var, normalize, render_nf, tensor_to_obj,
 )
 from rigdiff.text import emit_nf, parse, render_tensor
 
@@ -276,7 +283,9 @@ def test_walks_leave_no_reference_cycles():
     p, a = fpp()
     h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
     d = d_n(a, 1)
-    calls = (lambda: d_n(a, 1), lambda: evaluate(a, AFFINE, {0: 2, 1: 3}),
+    term = parse("f(f(x[1,0] + 1) * x[0,1]) * f(x[1,0] + 1)", N2)
+    calls = (lambda: normalize(term, N2), lambda: nf_selfmap(a),
+             lambda: d_n(a, 1), lambda: evaluate(a, AFFINE, {0: 2, 1: 3}),
              lambda: render_nf(a), lambda: emit_nf(a), lambda: render_tensor(d),
              lambda: nf_to_obj(a), lambda: tensor_to_obj(d),
              lambda: apply_functor(h, a), lambda: mu(unit(as_monoid_element(a))))
@@ -364,18 +373,151 @@ def test_deep_towers_built_through_the_api():
     start = time.perf_counter()
     assert render_nf(normalize(term, N1)) == text
     assert time.perf_counter() - start < 5
-    # Each level of these results is a new value whose hash walks the whole
-    # argument, so they take time quadratic in the depth; each call has its
-    # own bound.  Rendered text is compared: == on two separately built
-    # towers walks them recursively.
     lifted = unit(as_monoid_element(x))
     for _ in range(depth):
         lifted = nf_selfmap(lifted)
     double = MonoidHom.from_matrix(N1, N1, [[2]])
-    for call, want in ((lambda: apply_functor(double, v), text.replace("x[0]", "2*x[0]")),
-                       (lambda: mu(unit(as_monoid_element(v))), text),
-                       (lambda: mu(lifted), text)):  # g(g(...y[x[0]]...))
-        start = time.perf_counter()
-        out = call()
-        assert time.perf_counter() - start < 5
-        assert render_nf(out) == want
+    start = time.perf_counter()
+    assert render_nf(apply_functor(double, v)) == text.replace("x[0]", "2*x[0]")
+    assert mu(unit(as_monoid_element(v))) == v
+    assert mu(lifted) == v  # lifted is g(g(...y[x[0]]...))
+    assert time.perf_counter() - start < 5
+
+
+# --- hash-consed operation atoms -------------------------------------------
+
+def app_atoms(a):
+    """Every operation atom of a value, nested ones included, in a fixed
+    order, found without recursion."""
+    found, stack = [], [a]
+    while stack:
+        v = stack.pop()
+        for m, _ in v.items:
+            for x in m.atoms:
+                if isinstance(x, AppAtom):
+                    found.append(x)
+                    stack.append(x.argument)
+    return found
+
+
+def assert_one_object_per_atom(a, b):
+    """a and b are equal values built separately: the same atoms, as objects."""
+    assert a == b and hash(a) == hash(b)
+    atoms = app_atoms(a)
+    assert atoms and len(atoms) == len(app_atoms(b))
+    assert all(x is y for x, y in zip(atoms, app_atoms(b)))
+
+
+def test_equal_arguments_make_one_atom():
+    a = normalize(parse("x[1,0] * f(x[0,1] + 1) + 2", N2), N2)
+    b = nf_add(nf_mul(nf_var(MonoidElem.generator(N2, 0)), nf_selfmap(nf_add(
+        nf_var(MonoidElem.generator(N2, 1)), normalize(terms.ONE, N2)))),
+        normalize(parse("2", N2), N2))
+    assert a is not b
+    assert AppAtom(a) is AppAtom(b)
+    assert_one_object_per_atom(a, b)
+    a2 = normalize(parse("y[x[1]*f(x[1])] * g(y[f(x[1])] + 1)", L2), L2)
+    b2 = normalize(parse("g(1 + y[f(x[1])]) * y[f(x[1])*x[1]]", L2), L2)
+    assert AppAtom(a2) is AppAtom(b2)
+    assert_one_object_per_atom(a2, b2)
+    # a level-2 generator key holds level-1 atoms, shared as well
+    [(m, _)] = a2.items
+    [gen] = [x for x in m.atoms if isinstance(x, GenAtom)]
+    assert gen.index.atoms[-1] is AppAtom(normalize(parse("x[1]", N1), N1))
+
+
+@pytest.mark.parametrize("carrier", [N2, L2], ids=["level1", "level2"])
+def test_separately_built_values_share_their_atoms(carrier):
+    for seed in range(50):
+        a = f_dense_value(random.Random(seed), carrier)
+        b = f_dense_value(random.Random(seed), carrier)
+        assert a is not b
+        assert_one_object_per_atom(a, b)
+        assert_one_object_per_atom(a, nf_from_obj(carrier, json.loads(json.dumps(nf_to_obj(a)))))
+
+
+def test_apply_functor_and_mu_build_shared_atoms():
+    h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
+    for seed in range(50):
+        a = f_dense_value(random.Random(seed), N2)
+        assert_one_object_per_atom(apply_functor(h, a),
+                                   apply_functor(h, f_dense_value(random.Random(seed), N2)))
+        assert_one_object_per_atom(mu(unit(as_monoid_element(a))), a)
+        # level-2 operation atoms collapse into level-1 ones built by mu
+        assert_one_object_per_atom(mu(f_dense_value(random.Random(seed), L2)),
+                                   mu(f_dense_value(random.Random(seed), L2)))
+
+
+def api_tower(depth):
+    v = nf_var(MonoidElem.generator(N1, 0))
+    for _ in range(depth):
+        v = nf_selfmap(v)
+    return v
+
+
+def test_separately_built_deep_towers_are_equal():
+    depth = 2000
+    v, w = api_tower(depth), api_tower(depth)
+    assert v is not w and v == w and hash(v) == hash(w)
+    assert {v: 1}[w] == 1
+    limit = sys.getrecursionlimit()
+    # json's C encoder counts its nested containers against the recursion
+    # limit: four per level of the tower
+    sys.setrecursionlimit(limit + 5 * depth)
+    try:
+        assert json.dumps(nf_to_obj(v)) == json.dumps(nf_to_obj(w))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_tower_builds_in_linear_time():
+    # Each level hashes its argument once, in constant time; a hash that
+    # walked the whole argument would make this build quadratic.
+    start = time.perf_counter()
+    v = api_tower(8000)
+    assert hash(v) == hash(api_tower(8000))
+    assert time.perf_counter() - start < 1
+
+
+def test_intern_table_forgets_dropped_atoms():
+    # The table refers to its atoms weakly, and an entry leaves with its
+    # atom when the atom's last value is freed: no collector run is needed.
+    before = len(normal._app_atoms)
+    gc.disable()
+    try:
+        p, a = fpp()
+        v, d = api_tower(100), d_n(a, 1)
+        assert render_tensor(d) and mu(unit(as_monoid_element(a))) == a
+        assert len(normal._app_atoms) > before
+        del p, a, v, d
+        assert len(normal._app_atoms) == before
+    finally:
+        gc.enable()
+
+
+def ref_key(x):
+    """The plain nested key of an atom, a monomial or a value, built anew
+    by recursion: what the engine's keys must sort like."""
+    if isinstance(x, GenAtom):
+        return (0, x.index if isinstance(x.index, int) else ref_key(x.index))
+    if isinstance(x, AppAtom):
+        return (1, ref_key(x.argument))
+    if isinstance(x, Monomial):
+        return (len(x.atoms), tuple(map(ref_key, x.atoms)))
+    return tuple((ref_key(m), c) for m, c in x.items)
+
+
+@pytest.mark.parametrize("carrier", [N2, L2], ids=["level1", "level2"])
+def test_keys_sort_like_plain_nested_keys(carrier):
+    rng = random.Random(2468)
+    order_key = operator.attrgetter("order_key")
+    for _ in range(200):
+        a = f_dense_value(rng, carrier)
+        values = [a] + [x.argument for x in app_atoms(a)]
+        monos = list({m for v in values for m, _ in v.items})
+        atoms = list({x for m in monos for x in m.atoms})
+        for m in monos:
+            assert list(m.atoms) == sorted(m.atoms, key=ref_key)
+        for objs in (monos, atoms):
+            rng.shuffle(objs)
+            assert sorted(objs, key=order_key) == sorted(objs, key=ref_key)
