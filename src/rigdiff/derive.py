@@ -12,7 +12,9 @@ genuinely differ elsewhere.
 from __future__ import annotations
 
 from .carrier import FreeMonoid, MonomialBasis, TensorElem, add_scaled
-from .normal import ArgumentMemo, GenAtom, Monomial, NormalForm, mono_mul
+from .normal import (
+    ArgumentMemo, GenAtom, Monomial, NormalForm, _sorted_monomial, mono_mul,
+)
 
 
 class SymmetricModeError(ValueError):
@@ -72,6 +74,6 @@ def seeded_derivation(a: NormalForm, seed: NormalForm) -> NormalForm:
         k = mono.degree
         if k == 0:
             continue
-        rest = Monomial(mono.atoms[:-1], presorted=True)
+        rest = _sorted_monomial(mono.atoms[:-1], mono.order_key[1][:-1])
         add_scaled(acc, ((mono_mul(rest, m), s) for m, s in seed.items), c * k)
     return NormalForm.from_dict(carrier, acc)

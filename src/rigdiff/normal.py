@@ -17,6 +17,11 @@ atom's key is ``(1, argument key, h)``, a tuple that hashes as the stored
 ``h``: a monomial or value hashes each atom key in constant time, so hashing
 a nested value does not walk its depth.  Sorting is as without ``h``, which
 a comparison reaches only when the two argument keys are equal.
+
+Products and remainders of monomials are built from their operands' sorted
+atoms and keys: a one-atom factor is inserted by bisection, two ordered
+runs are joined, and a removed atom is sliced out.  Only interleaved
+operands are sorted again, and every result equals the stable sort's.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import functools
 import itertools
 import operator
 import weakref
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Sequence
 
 from .carrier import (
@@ -107,7 +113,10 @@ _atom_order = operator.attrgetter("order_key")
 
 
 class Monomial:
-    """A finite multiset of atoms, kept sorted; the empty monomial is 1."""
+    """A finite multiset of atoms, kept sorted; the empty monomial is 1.
+
+    ``order_key`` is ``(degree, atom keys)``.  Products (``mono_mul``) and
+    remainders (``without``) are built from sorted parts, not sorted again."""
 
     __slots__ = ("atoms", "order_key", "_hash")
 
@@ -136,15 +145,45 @@ class Monomial:
         return [(a, len(list(g))) for a, g in itertools.groupby(self.atoms)]
 
     def without(self, atom: Atom) -> "Monomial":
-        """Remove one occurrence of an atom (which must be present)."""
-        i = self.atoms.index(atom)
-        return Monomial(self.atoms[:i] + self.atoms[i + 1:], presorted=True)
+        """Remove the first occurrence of an atom (which must be present)."""
+        keys = self.order_key[1]
+        i = keys.index(atom.order_key)
+        return _sorted_monomial(self.atoms[:i] + self.atoms[i + 1:],
+                                keys[:i] + keys[i + 1:])
+
+
+def _sorted_monomial(atoms: tuple, keys: tuple) -> Monomial:
+    """The monomial of already sorted ``atoms`` whose keys are ``keys``."""
+    m = object.__new__(Monomial)
+    m.atoms = atoms
+    m.order_key = key = (len(keys), keys)
+    m._hash = hash(key)
+    return m
 
 
 ONE_MONOMIAL = Monomial(())
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product monomial, equal atom for atom to the stable sort of
+    ``a.atoms + b.atoms`` (so equal atoms of ``a`` come first).  A one-atom
+    or empty operand, or two ordered runs, need no sort; only interleaved
+    operands are sorted again."""
+    ka, kb = a.order_key[1], b.order_key[1]
+    if not ka:
+        return b
+    if not kb:
+        return a
+    if len(kb) == 1:
+        i = bisect_right(ka, kb[0])
+        return _sorted_monomial(a.atoms[:i] + b.atoms + a.atoms[i:], ka[:i] + kb + ka[i:])
+    if len(ka) == 1:
+        i = bisect_left(kb, ka[0])
+        return _sorted_monomial(b.atoms[:i] + a.atoms + b.atoms[i:], kb[:i] + ka + kb[i:])
+    if ka[-1] <= kb[0]:
+        return _sorted_monomial(a.atoms + b.atoms, ka + kb)
+    if kb[-1] < ka[0]:
+        return _sorted_monomial(b.atoms + a.atoms, kb + ka)
     return Monomial(a.atoms + b.atoms)
 
 
@@ -183,7 +222,10 @@ class NormalForm(CoeffMap):
         return any(isinstance(a, AppAtom) for m, _ in self.items for a in m.atoms)
 
     def __eq__(self, other):
+        # unequal hashes end almost every unequal comparison before the
+        # nested keys, whose comparison recurses along a shared deep prefix
         return (isinstance(other, NormalForm)
+                and self._hash == other._hash
                 and self.carrier == other.carrier
                 and self.order_key == other.order_key)
 

@@ -33,7 +33,7 @@ from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate, mu, unit
 from rigdiff.normal import (
     AppAtom, GenAtom, Monomial, apply_functor, as_monoid_element,
     from_monoid_element, mono_mul, nf_add, nf_from_monomial, nf_from_obj, nf_mul,
-    nf_selfmap, nf_to_obj, nf_var, normalize, render_nf, tensor_to_obj,
+    nf_scale, nf_selfmap, nf_to_obj, nf_var, normalize, render_nf, tensor_to_obj,
 )
 from rigdiff.text import emit_nf, parse, render_tensor
 
@@ -468,6 +468,16 @@ def test_separately_built_deep_towers_are_equal():
         assert json.dumps(nf_to_obj(v)) == json.dumps(nf_to_obj(w))
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("depth", [200, 1000])
+def test_unequal_deep_towers_compare_without_recursion(depth):
+    # The towers differ only at the bottom; unequal hashes end the
+    # comparison before the nested keys are walked.
+    v, w = api_tower(depth), nf_scale(api_tower(0), 2)
+    for _ in range(depth):
+        w = nf_selfmap(w)
+    assert not v == w and v != w
 
 
 def test_deep_tower_builds_in_linear_time():
