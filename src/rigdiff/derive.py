@@ -12,9 +12,7 @@ genuinely differ elsewhere.
 from __future__ import annotations
 
 from .carrier import FreeMonoid, MonomialBasis, TensorElem, add_scaled
-from .normal import (
-    ArgumentMemo, GenAtom, Monomial, NormalForm, _sorted_monomial, mono_mul,
-)
+from .normal import ArgumentMemo, GenAtom, Monomial, NormalForm, mono_mul
 
 
 class SymmetricModeError(ValueError):
@@ -74,6 +72,6 @@ def seeded_derivation(a: NormalForm, seed: NormalForm) -> NormalForm:
         k = mono.degree
         if k == 0:
             continue
-        rest = _sorted_monomial(mono.atoms[:-1], mono.order_key[1][:-1])
+        rest = Monomial(mono.atoms[:-1], presorted=True)
         add_scaled(acc, ((mono_mul(rest, m), s) for m, s in seed.items), c * k)
     return NormalForm.from_dict(carrier, acc)

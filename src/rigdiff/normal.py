@@ -19,9 +19,9 @@ a nested value does not walk its depth.  Sorting is as without ``h``, which
 a comparison reaches only when the two argument keys are equal.
 
 Products and remainders of monomials are built from their operands' sorted
-atoms and keys: a one-atom factor is inserted by bisection, two ordered
-runs are joined, and a removed atom is sliced out.  Only interleaved
-operands are sorted again, and every result equals the stable sort's.
+atoms and keys: a one-atom factor is inserted by bisection and a removed
+atom is sliced out.  Only products of two many-atom operands are sorted
+again, and every result equals the stable sort's.
 """
 
 from __future__ import annotations
@@ -153,7 +153,10 @@ class Monomial:
 
 
 def _sorted_monomial(atoms: tuple, keys: tuple) -> Monomial:
-    """The monomial of already sorted ``atoms`` whose keys are ``keys``."""
+    """The monomial of already sorted ``atoms`` whose keys are ``keys``.
+
+    Unlike ``Monomial(atoms, presorted=True)``, which callers holding only
+    atoms use, it takes the keys too and so makes no pass over the atoms."""
     m = object.__new__(Monomial)
     m.atoms = atoms
     m.order_key = key = (len(keys), keys)
@@ -167,8 +170,8 @@ ONE_MONOMIAL = Monomial(())
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product monomial, equal atom for atom to the stable sort of
     ``a.atoms + b.atoms`` (so equal atoms of ``a`` come first).  A one-atom
-    or empty operand, or two ordered runs, need no sort; only interleaved
-    operands are sorted again."""
+    or empty operand needs no sort; only two many-atom operands are sorted
+    again."""
     ka, kb = a.order_key[1], b.order_key[1]
     if not ka:
         return b
@@ -180,10 +183,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if len(ka) == 1:
         i = bisect_left(kb, ka[0])
         return _sorted_monomial(b.atoms[:i] + a.atoms + b.atoms[i:], kb[:i] + ka + kb[i:])
-    if ka[-1] <= kb[0]:
-        return _sorted_monomial(a.atoms + b.atoms, ka + kb)
-    if kb[-1] < ka[0]:
-        return _sorted_monomial(b.atoms + a.atoms, kb + ka)
     return Monomial(a.atoms + b.atoms)
 
 

@@ -1,8 +1,8 @@
 """Monomial products and remainders built from sorted parts.
 
 ``mono_mul`` inserts a one-atom operand by bisection, returns the other
-operand of an empty one, joins two ordered runs, and sorts only interleaved
-operands; ``Monomial.without`` slices the removed atom out.  Each result
+operand of an empty one, and sorts only two many-atom operands;
+``Monomial.without`` slices the removed atom out.  Each result
 must be the monomial that a stable sort of the concatenated (or remaining)
 atoms gives: the same atom objects in the same order, so equal atoms of
 the left operand stay first, and the same key and hash.
