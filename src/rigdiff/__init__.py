@@ -24,7 +24,7 @@ from .normal import (
     nf_var, normalize, render_nf, tensor_to_obj,
 )
 from .text import ParseError, parse, print_term, render_tensor
-from .gen import GenConfig, equivalent_variant, random_elem, random_hom, random_term
+from .gen import equivalent_variant, random_elem, random_hom, random_term_rng
 from .modality import (
     CATALOG, RigWithSelfMap, eta, evaluate, mu, nabla, nabla_at, nf_as_tensor,
     rig_from_term, unit,

@@ -65,10 +65,6 @@ class MonomialBasis:
     base: "Carrier"
 
     @property
-    def rank(self) -> None:
-        return None
-
-    @property
     def selfmap_enabled(self) -> bool:
         return True
 
@@ -293,15 +289,10 @@ def elem_as_tensor(a: MonoidElem) -> TensorElem:
 
 def tensor_pure(elems: Sequence[MonoidElem]) -> TensorElem:
     """Tensor of elements, expanded multilinearly over their coefficient maps."""
-    factors = tuple(e.carrier for e in elems)
-    acc: dict[tuple, int] = {}
-    for combo in itertools.product(*(e.items for e in elems)):
-        key = tuple(k for k, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        acc[key] = acc.get(key, 0) + coeff
-    return TensorElem.from_dict(factors, acc)
+    acc: dict[tuple, int] = {(): 1}
+    for e in elems:
+        acc = mul_items(acc.items(), [((k,), c) for k, c in e.items], operator.add)
+    return TensorElem.from_dict(tuple(e.carrier for e in elems), acc)
 
 
 def tensor_concat(a: TensorElem, b: TensorElem) -> TensorElem:

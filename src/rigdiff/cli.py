@@ -17,9 +17,14 @@ import sys
 from .carrier import CarrierMismatch, FreeMonoid, MonomialBasis
 from .derive import d_n
 from .laws import SuiteConfig, check_distinctness, check_laws
-from .modality import CATALOG, evaluate, mu, rig_from_term
+from .modality import CATALOG, RigWithSelfMap, evaluate, mu, rig_from_term
 from .normal import SelfMapDisabled, nf_to_obj, normalize, render_nf, tensor_to_obj
 from .text import ParseError, parse, render_tensor
+
+
+# ``eval`` stops above this bit length; no printable answer comes near it
+# (Python prints no int above 4300 digits, about 14,300 bits).
+MAX_EVAL_BITS = 1 << 16
 
 
 def _base_flags(sub, levels: bool = True) -> None:
@@ -48,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mu", help="collapse a level-2 expression one level")
     _base_flags(p, levels=False)
+    p.set_defaults(level=2)
 
     p = subs.add_parser("eval", help="evaluate in the naturals")
     _base_flags(p, levels=False)
@@ -73,13 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_expr(expr: str) -> str:
-    return sys.stdin.read() if expr == "-" else expr
-
-
-def _carrier_for(args):
+def _read_nf(args):
+    """The canonical form of the command's expression, at its level."""
     base = FreeMonoid(args.carrier)
-    return MonomialBasis(base) if getattr(args, "level", 1) == 2 else base
+    carrier = MonomialBasis(base) if getattr(args, "level", 1) == 2 else base
+    text = sys.stdin.read() if args.expr == "-" else args.expr
+    return normalize(parse(text, carrier), carrier)
 
 
 def _nat_list(text: str) -> list[int]:
@@ -89,55 +94,52 @@ def _nat_list(text: str) -> list[int]:
     return values
 
 
-def _cmd_normalize(args) -> int:
-    carrier = _carrier_for(args)
-    nf = normalize(parse(_read_expr(args.expr), carrier), carrier)
+# command -> (compute from the canonical form, structured view, display text)
+_VALUE_COMMANDS = {
+    "normalize": (lambda nf, args: nf, nf_to_obj, render_nf),
+    "derive": (lambda nf, args: d_n(nf, args.n), tensor_to_obj, render_tensor),
+    "mu": (lambda nf, args: mu(nf), nf_to_obj, render_nf),
+}
+
+
+def _cmd_value(args) -> int:
+    compute, to_obj, render = _VALUE_COMMANDS[args.command]
+    value = compute(_read_nf(args), args)
     if args.format == "structured":
-        print(json.dumps(nf_to_obj(nf), indent=2))
+        print(json.dumps(to_obj(value), indent=2))
     else:
-        print(render_nf(nf))
-    return 0
-
-
-def _cmd_derive(args) -> int:
-    carrier = _carrier_for(args)
-    nf = normalize(parse(_read_expr(args.expr), carrier), carrier)
-    derived = d_n(nf, args.n)
-    if args.format == "structured":
-        print(json.dumps(tensor_to_obj(derived), indent=2))
-    else:
-        print(render_tensor(derived))
-    return 0
-
-
-def _cmd_mu(args) -> int:
-    carrier = MonomialBasis(FreeMonoid(args.carrier))
-    nf = normalize(parse(_read_expr(args.expr), carrier), carrier)
-    collapsed = mu(nf)
-    if args.format == "structured":
-        print(json.dumps(nf_to_obj(collapsed), indent=2))
-    else:
-        print(render_nf(collapsed))
+        print(render(value))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    carrier = FreeMonoid(args.carrier)
-    nf = normalize(parse(_read_expr(args.expr), carrier), carrier)
+    nf = _read_nf(args)
     images = _nat_list(args.phi)
-    if len(images) != carrier.rank:
-        raise ValueError(f"--phi needs {carrier.rank} entries, got {len(images)}")
+    if len(images) != args.carrier:
+        raise ValueError(f"--phi needs {args.carrier} entries, got {len(images)}")
     rig = CATALOG.get(args.target)
     if rig is None:
         rig_carrier = FreeMonoid(1)
         rig = rig_from_term(parse(args.target, rig_carrier), rig_carrier)
-    print(evaluate(nf, rig, dict(enumerate(images))))
+
+    def capped(v: int) -> int:
+        out = rig.selfmap(v)
+        if out.bit_length() > MAX_EVAL_BITS:
+            raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
+        return out
+
+    print(evaluate(nf, RigWithSelfMap(rig.name, capped), dict(enumerate(images))))
     return 0
 
 
 def _cmd_laws(args) -> int:
+    n_values = tuple(_nat_list(args.n_values))
+    if not n_values:
+        raise ValueError("--n-values needs at least one entry")
+    if args.cases < 0 or args.depth < 0:
+        raise ValueError("--cases and --depth must be naturals")
     cfg = SuiteConfig(seed=args.seed, cases=args.cases, max_depth=args.depth,
-                      n_values=tuple(_nat_list(args.n_values)))
+                      n_values=n_values)
     report = check_laws(cfg)
     if args.format == "structured":
         print(json.dumps(report.to_obj(), indent=2))
@@ -164,9 +166,9 @@ def _cmd_distinctness(args) -> int:
 
 
 _COMMANDS = {
-    "normalize": _cmd_normalize,
-    "derive": _cmd_derive,
-    "mu": _cmd_mu,
+    "normalize": _cmd_value,
+    "derive": _cmd_value,
+    "mu": _cmd_value,
     "eval": _cmd_eval,
     "laws": _cmd_laws,
     "distinctness": _cmd_distinctness,

@@ -11,8 +11,8 @@ genuinely differ elsewhere.
 
 from __future__ import annotations
 
-from .carrier import FreeMonoid, MonomialBasis, TensorElem, add_scaled
-from .normal import ArgumentMemo, GenAtom, Monomial, NormalForm, mono_mul
+from .carrier import FreeMonoid, MonomialBasis, TensorElem
+from .normal import ArgumentMemo, GenAtom, NormalForm, mono_mul, nf_mul
 
 
 class SymmetricModeError(ValueError):
@@ -58,8 +58,9 @@ def sym_derive(a: NormalForm) -> TensorElem:
 
 def seeded_derivation(a: NormalForm, seed: NormalForm) -> NormalForm:
     """Single-variable derivation sending the generator to ``seed``:
-    c*x^k maps to c*k*x^(k-1)*seed, extended additively.  The terms are
-    added into one dict, which is sorted once at the end."""
+    c*x^k maps to c*k*x^(k-1)*seed, extended additively.  This is ``d_n``
+    with its carrier factor absorbed (a rank-1 carrier has one generator),
+    multiplied by the seed."""
     carrier = a.carrier
     if not isinstance(carrier, FreeMonoid) or carrier.rank != 1:
         raise ValueError("seeded derivation needs a rank-1 carrier")
@@ -67,11 +68,5 @@ def seeded_derivation(a: NormalForm, seed: NormalForm) -> NormalForm:
         raise SymmetricModeError("seeded derivation works on operation-free values")
     if seed.carrier != carrier:
         raise ValueError("seed must live over the same carrier")
-    acc: dict[Monomial, int] = {}
-    for mono, c in a.items:
-        k = mono.degree
-        if k == 0:
-            continue
-        rest = Monomial(mono.atoms[:-1], presorted=True)
-        add_scaled(acc, ((mono_mul(rest, m), s) for m, s in seed.items), c * k)
-    return NormalForm.from_dict(carrier, acc)
+    rests = {rest: c for (rest, _), c in d_n(a, 0).items}
+    return nf_mul(NormalForm.from_dict(carrier, rests), seed)

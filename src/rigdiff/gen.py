@@ -1,14 +1,13 @@
 """Seeded random generation of terms, elements and rewrite walks.
 
-Everything here is deterministic in the seed: the same config yields the
-same term on every platform, and every failure a randomized law check finds
-can be replayed from its recorded seed.
+Everything here is deterministic in the seed: the same seed and bounds
+yield the same term on every platform, and every failure a randomized law
+check finds can be replayed from its recorded seed.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .carrier import Carrier, FreeMonoid, MonoidElem, MonoidHom
 from .normal import as_monoid_element, normalize
@@ -16,22 +15,6 @@ from .terms import (
     App, One, Prod, RewriteRule, Sum, Term, Var, Zero, ONE, ZERO,
     positions, rewrite_step,
 )
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Bounds for random term generation.
-
-    ``payload_depth`` bounds the inline expressions that level-2 variable
-    payloads are built from; the other fields bound the term itself.
-    """
-
-    carrier: Carrier
-    max_depth: int = 4
-    max_f_depth: int = 2
-    max_coeff: int = 5
-    seed: int = 0
-    payload_depth: int = 2
 
 
 def random_elem(rng: random.Random, carrier: Carrier, max_coeff: int,
@@ -49,6 +32,7 @@ def random_elem(rng: random.Random, carrier: Carrier, max_coeff: int,
 def random_term_rng(rng: random.Random, carrier: Carrier, max_depth: int,
                     max_f_depth: int, max_coeff: int,
                     payload_depth: int = 2) -> Term:
+    """Random term from ``rng``; ``payload_depth`` bounds level-2 payloads."""
     choices = ["zero", "one", "var"]
     if max_depth > 0:
         choices += ["sum", "prod"]
@@ -69,14 +53,6 @@ def random_term_rng(rng: random.Random, carrier: Carrier, max_depth: int,
     right = random_term_rng(rng, carrier, max_depth - 1, max_f_depth, max_coeff,
                             payload_depth)
     return Sum(left, right) if kind == "sum" else Prod(left, right)
-
-
-def random_term(cfg: GenConfig) -> Term:
-    """Deterministic random term for a config; every constructor allowed by
-    the bounds is reachable."""
-    rng = random.Random(cfg.seed)
-    return random_term_rng(rng, cfg.carrier, cfg.max_depth, cfg.max_f_depth,
-                           cfg.max_coeff, cfg.payload_depth)
 
 
 def random_hom(rng: random.Random, domain: FreeMonoid, codomain: FreeMonoid,

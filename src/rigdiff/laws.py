@@ -217,9 +217,7 @@ def _run_functor_on_terms(rng, cfg, d_n):
 
 
 def _run_functor_composition(rng, cfg, d_n):
-    first = FreeMonoid(rng.choice(cfg.ranks))
-    mid = FreeMonoid(rng.choice(cfg.ranks))
-    last = FreeMonoid(rng.choice(cfg.ranks))
+    first, mid, last = (_free(rng, cfg) for _ in range(3))
     h, k = random_hom(rng, first, mid), random_hom(rng, mid, last)
     a = _nf(rng, cfg, first)
     if apply_functor(MonoidHom.identity(first), a) != a:
@@ -236,9 +234,10 @@ def _run_selfmap_not_scalar(rng, cfg, d_n):
         ("the first variable", nf_var(MonoidElem.generator(carrier, 0))),
         ("a random value", _nf(rng, cfg, carrier)),
     )
+    images = [(label, v, nf_selfmap(v)) for label, v in witnesses]
     for n in range(11):
-        for label, v in witnesses:
-            if nf_selfmap(v) == nf_scale(v, n):
+        for label, v, image in images:
+            if image == nf_scale(v, n):
                 return f"operation equals {n}*id on {label}: {v}"
     return None
 
@@ -285,8 +284,8 @@ def _run_monad_associativity(rng, cfg, d_n):
 def _run_modality_square(rng, cfg, d_n):
     carrier = _free(rng, cfg)
     u2, v2 = _level2_nf(rng, cfg, carrier), _level2_nf(rng, cfg, carrier)
-    lhs = mu(nabla(tensor_pure([as_monoid_element(u2), as_monoid_element(v2)])))
-    rhs = nabla(tensor_pure([as_monoid_element(mu(u2)), as_monoid_element(mu(v2))]))
+    lhs = mu(_prod2(u2, v2))
+    rhs = _prod2(mu(u2), mu(v2))
     if lhs != rhs:
         return f"collapse does not commute with multiplication: {lhs} vs {rhs}"
     return None

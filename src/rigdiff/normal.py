@@ -115,16 +115,13 @@ _atom_order = operator.attrgetter("order_key")
 class Monomial:
     """A finite multiset of atoms, kept sorted; the empty monomial is 1.
 
-    ``order_key`` is ``(degree, atom keys)``.  Products (``mono_mul``) and
-    remainders (``without``) are built from sorted parts, not sorted again."""
+    ``order_key`` is ``(degree, atom keys)``.  Products, remainders and
+    one-atom monomials are built by ``_sorted_monomial``, with no sort."""
 
     __slots__ = ("atoms", "order_key", "_hash")
 
-    def __init__(self, atoms: Iterable[Atom], presorted: bool = False):
-        atoms = tuple(atoms)
-        if not presorted:
-            atoms = tuple(sorted(atoms, key=_atom_order))
-        self.atoms = atoms
+    def __init__(self, atoms: Iterable[Atom]):
+        self.atoms = atoms = tuple(sorted(atoms, key=_atom_order))
         self.order_key = (len(atoms), tuple(map(_atom_order, atoms)))
         self._hash = hash(self.order_key)
 
@@ -153,15 +150,17 @@ class Monomial:
 
 
 def _sorted_monomial(atoms: tuple, keys: tuple) -> Monomial:
-    """The monomial of already sorted ``atoms`` whose keys are ``keys``.
-
-    Unlike ``Monomial(atoms, presorted=True)``, which callers holding only
-    atoms use, it takes the keys too and so makes no pass over the atoms."""
+    """The monomial of already sorted ``atoms`` whose keys are ``keys``:
+    no sort and no pass over the atoms."""
     m = object.__new__(Monomial)
     m.atoms = atoms
     m.order_key = key = (len(keys), keys)
     m._hash = hash(key)
     return m
+
+
+def _one_atom(atom: Atom) -> Monomial:
+    return _sorted_monomial((atom,), (atom.order_key,))
 
 
 ONE_MONOMIAL = Monomial(())
@@ -253,7 +252,7 @@ def nf_var(elem: MonoidElem) -> NormalForm:
     A composite index splits into its generator atoms with the same
     coefficients, so variables indexed by sums never appear as such.
     """
-    items = tuple((Monomial((GenAtom(k),), presorted=True), c) for k, c in elem.items)
+    items = tuple((_one_atom(GenAtom(k)), c) for k, c in elem.items)
     return NormalForm(elem.carrier, items)
 
 
@@ -305,53 +304,67 @@ def nf_selfmap(a: NormalForm) -> NormalForm:
     """Apply the formal unary operation: a fresh opaque atom, never expanded."""
     if not a.carrier.selfmap_enabled:
         raise SelfMapDisabled(f"carrier {a.carrier} was built without the unary operation")
-    return NormalForm(a.carrier, ((Monomial((AppAtom(a),)), 1),))
+    return NormalForm(a.carrier, ((_one_atom(AppAtom(a)), 1),))
+
+
+_RUN_KINDS = frozenset((t.Sum, t.Prod, t.App))
 
 
 def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
     """Canonical form of a raw term over the given carrier.
 
-    A run of sums is walked with an explicit stack and added into one dict
-    that is sorted once; a left spine of products is multiplied out in a
-    loop, and so is a run of unary operations.  So long chains of any of
-    them need no recursion."""
-    if isinstance(term, t.Zero):
-        return NormalForm.zero(carrier)
-    if isinstance(term, t.One):
-        return NormalForm.one(carrier)
-    if isinstance(term, t.Var):
-        if term.elem.carrier != carrier:
-            raise CarrierMismatch(
-                f"variable over {term.elem.carrier} normalized over {carrier}")
-        return nf_var(term.elem)
-    if isinstance(term, t.Sum):
-        acc: dict[Monomial, int] = {}
-        stack = [term]
-        while stack:
-            sub = stack.pop()
-            if isinstance(sub, t.Sum):
-                stack += (sub.right, sub.left)
+    A run of sums (every sum reached through sums alone) is added into one
+    dict that is sorted once, and a run of products is multiplied out left
+    to right.  Operands are normalized left to right, depth first, from an
+    explicit stack of open runs, so no nesting of sums, products and unary
+    operations (a long literal nests one level per bit) needs Python
+    frames."""
+    runs = []  # (kind, operands, values of the operands done so far)
+    while True:
+        kind = type(term)
+        while kind in _RUN_KINDS:
+            if kind is t.App:
+                operands = [term.body]
             else:
-                add_scaled(acc, normalize(sub, carrier).items)
-        return NormalForm.from_dict(carrier, acc)
-    if isinstance(term, t.Prod):
-        rights = []
-        while isinstance(term, t.Prod):
-            rights.append(term.right)
-            term = term.left
-        out = normalize(term, carrier)
-        for right in reversed(rights):
-            out = nf_mul(out, normalize(right, carrier))
-        return out
-    if isinstance(term, t.App):
-        depth = 0
-        while isinstance(term, t.App):
-            term, depth = term.body, depth + 1
-        out = normalize(term, carrier)
-        for _ in range(depth):
-            out = nf_selfmap(out)
-        return out
-    raise TypeError(f"not a term: {term!r}")
+                operands, stack = [], [term]
+                while stack:
+                    sub = stack.pop()
+                    if type(sub) is kind:
+                        stack += (sub.right, sub.left)
+                    else:
+                        operands.append(sub)
+            runs.append((kind, operands, []))
+            term = operands[0]
+            kind = type(term)
+        if kind is t.Var:
+            if term.elem.carrier != carrier:
+                raise CarrierMismatch(
+                    f"variable over {term.elem.carrier} normalized over {carrier}")
+            value = nf_var(term.elem)
+        elif kind is t.Zero:
+            value = NormalForm.zero(carrier)
+        elif kind is t.One:
+            value = NormalForm.one(carrier)
+        else:
+            raise TypeError(f"not a term: {term!r}")
+        while runs:
+            kind, operands, values = runs[-1]
+            values.append(value)
+            if len(values) < len(operands):
+                term = operands[len(values)]
+                break
+            runs.pop()
+            if kind is t.Sum:
+                acc: dict[Monomial, int] = {}
+                for v in values:
+                    add_scaled(acc, v.items)
+                value = NormalForm.from_dict(carrier, acc)
+            elif kind is t.Prod:
+                value = functools.reduce(nf_mul, values)
+            else:
+                value = nf_selfmap(value)
+        else:
+            return value
 
 
 def extend_generators(a: NormalForm, domain: Carrier, codomain: Carrier,

@@ -115,13 +115,6 @@ def _replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
     raise ValueError(f"path {path!r} leaves the term")
 
 
-RULE_TAGS = (
-    "assoc_add", "unit_add", "comm_add",
-    "assoc_mul", "unit_mul", "comm_mul",
-    "distrib", "annihilate", "var_zero", "var_add",
-)
-
-
 @dataclass(frozen=True)
 class RewriteRule:
     """One generating identification, oriented.

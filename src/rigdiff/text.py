@@ -37,10 +37,9 @@ _VAR_NAMES = {"x", "y", "z"}
 _APP_NAMES = {"f", "g", "h"}
 
 # Deepest nesting of "(", "f(" and level-2 "[payload]" that the parser
-# accepts.  Parsing, reading structured input (``nf_from_obj``) and
-# normalizing an ``f(...)`` under a sum or product recurse once per level,
-# and at this depth all of them stay within Python's default recursion
-# limit.
+# accepts.  Parsing and reading structured input (``nf_from_obj``) recurse
+# once per level, and at this depth both stay within Python's default
+# recursion limit.
 MAX_NESTING = 100
 
 

@@ -93,7 +93,7 @@ def ref_seeded_derivation(a, seed):
     out = NormalForm.zero(a.carrier)
     for mono, c in a.items:
         if mono.degree:
-            rest = Monomial(mono.atoms[:-1], presorted=True)
+            rest = Monomial(mono.atoms[:-1])
             out = nf_add(out, nf_mul(nf_from_monomial(a.carrier, rest, c * mono.degree), seed))
     return out
 

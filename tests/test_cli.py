@@ -1,13 +1,17 @@
 """End-to-end command line behavior through main(argv)."""
 
 import json
+import os
+import resource
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from rigdiff.cli import main
+from rigdiff.cli import MAX_EVAL_BITS, main
 from rigdiff.carrier import FreeMonoid, MonomialBasis
 from rigdiff.normal import nf_from_obj, normalize
 from rigdiff.text import MAX_NESTING, parse
@@ -17,6 +21,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_run(*args, timeout=20):
+    """Run Python with ``args`` against ``src`` in a child with capped
+    memory and time and an empty stdin."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, stdin=subprocess.DEVNULL,
+                          preexec_fn=cap_memory, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestNormalize:
@@ -95,6 +111,26 @@ class TestMuAndEval:
                            "--phi", "1,2")
         assert code == 2 and "--phi needs 1" in err
 
+    @pytest.mark.parametrize("target", ["square", "x[1]*x[1]+1"])
+    def test_eval_stops_on_a_growing_tower(self, target):
+        # Each level doubles the bit length, so exact work would never end:
+        # run it in a child with capped memory and time.
+        argv = ["eval", "--carrier", "0", "--phi", "", "--target", target,
+                tower(45, "f(", "2")]
+        script = ("import time; from rigdiff.cli import main; "
+                  "start = time.perf_counter(); "
+                  f"code = main({argv!r}); "
+                  "print(code, time.perf_counter() - start)")
+        proc = child_run("-c", script)
+        code, elapsed = proc.stdout.split()
+        assert code == "2" and float(elapsed) < 1
+        assert proc.stderr == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
+
+    def test_eval_below_the_cap_stays_exact(self, capsys):
+        code, out, _ = run(capsys, "eval", "--carrier", "0", "--phi", "",
+                           "--target", "square", tower(12, "f(", "2"))
+        assert code == 0 and out == f"{2 ** 4096}\n"
+
     def test_eval_unknown_target(self, capsys):
         code, _, err = run(capsys, "eval", "x[1]", "--target", "nosuchrig",
                            "--phi", "1")
@@ -118,6 +154,17 @@ class TestLaws:
         code, out, _ = run(capsys, "laws", "--cases", "2", "--n-values", "0,5")
         assert code == 0 and out.splitlines()[-1].endswith("all laws hold")
 
+    @pytest.mark.parametrize("flags", [
+        ["--n-values", "", "--cases", "2"],
+        ["--n-values", ",", "--cases", "2"],
+        ["--cases", "-1"],
+        ["--depth", "-1", "--cases", "2"],
+    ], ids=["empty-n-values", "blank-n-values", "negative-cases", "negative-depth"])
+    def test_rejects_flag_values_it_cannot_run(self, capsys, flags):
+        code, out, err = run(capsys, "laws", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestDistinctness:
     def test_default_range(self, capsys):
@@ -140,26 +187,19 @@ class TestLongAndDeepInputs:
         code, out, _ = run(capsys, "normalize", "2000")
         assert code == 0 and out == "2000\n"
 
+    def test_thousand_digit_literal(self, capsys):
+        literal = str(7 ** 1200)  # over 3000 levels deep as a term
+        code, out, _ = run(capsys, "normalize", literal)
+        assert code == 0 and out == literal + "\n"
+
     def test_ten_digit_literal_is_fast(self):
-        # In a child with capped memory and time: a literal expanded into a
-        # chain of n sums would need ~10**10 nodes and must fail fast here.
-        import os
-        import resource
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        # A literal expanded into a chain of n sums would need ~10**10
+        # nodes and must fail fast here.
         script = ("import time; from rigdiff.cli import main; "
                   "start = time.perf_counter(); "
                   "main(['normalize', '9876543210*x[1]']); "
                   "print(time.perf_counter() - start)")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=20, preexec_fn=cap_memory,
-                              env={**os.environ, "PYTHONPATH": src})
+        proc = child_run("-c", script)
         out, elapsed = proc.stdout.splitlines()
         assert proc.returncode == 0 and out == "9876543210*x[0]"
         assert float(elapsed) < 0.5
@@ -244,8 +284,6 @@ class TestErrors:
             main([])
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "rigdiff", "normalize", "x[2]+x[3]"],
             capture_output=True, text=True)

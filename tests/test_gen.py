@@ -3,10 +3,7 @@
 import random
 
 from rigdiff.carrier import FreeMonoid, MonomialBasis
-from rigdiff.gen import (
-    GenConfig, equivalent_variant, random_elem, random_hom, random_term,
-    random_term_rng,
-)
+from rigdiff.gen import equivalent_variant, random_elem, random_hom, random_term_rng
 from rigdiff.normal import normalize
 from rigdiff.terms import App, positions
 
@@ -14,12 +11,14 @@ N1 = FreeMonoid(1)
 N2 = FreeMonoid(2)
 
 
+def seeded_term(carrier, seed):
+    return random_term_rng(random.Random(seed), carrier, 4, 2, 5)
+
+
 class TestRandomTerm:
     def test_deterministic_in_the_seed(self):
-        cfg = GenConfig(N2, seed=42)
-        assert random_term(cfg) == random_term(cfg)
-        assert random_term(GenConfig(N2, seed=1)) != \
-            random_term(GenConfig(N2, seed=2))
+        assert seeded_term(N2, 42) == seeded_term(N2, 42)
+        assert seeded_term(N2, 1) != seeded_term(N2, 2)
 
     def test_respects_operation_depth_zero(self):
         rng = random.Random(5)
@@ -68,7 +67,7 @@ class TestRandomElemAndHom:
 
 class TestEquivalentVariant:
     def test_deterministic_in_the_seed(self):
-        t = random_term(GenConfig(N2, seed=8))
+        t = seeded_term(N2, 8)
         assert equivalent_variant(t, 5, 17, N2) == equivalent_variant(t, 5, 17, N2)
 
     def test_walks_preserve_the_denoted_value(self):
@@ -81,7 +80,7 @@ class TestEquivalentVariant:
             assert normalize(v, carrier) == normalize(t, carrier)
 
     def test_walks_do_change_the_tree(self):
-        t = random_term(GenConfig(N1, seed=2))
+        t = seeded_term(N1, 2)
         changed = sum(equivalent_variant(t, 4, seed, N1) != t
                       for seed in range(20))
         assert changed > 0

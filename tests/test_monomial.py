@@ -26,7 +26,7 @@ order_key = operator.attrgetter("order_key")
 
 def reference(atoms):
     """The monomial of ``atoms`` stably sorted by key, built the plain way."""
-    return Monomial(sorted(atoms, key=order_key), presorted=True)
+    return Monomial(atoms)
 
 
 def assert_same_monomial(got, want):

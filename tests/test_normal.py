@@ -15,7 +15,7 @@ from rigdiff.normal import (
     nf_from_monomial, nf_from_obj, nf_mul, nf_scale, nf_selfmap, nf_to_obj,
     nf_var, normalize, render_nf,
 )
-from rigdiff.terms import App, Var, ZERO
+from rigdiff.terms import App, ONE, Prod, Sum, Var, ZERO
 from rigdiff.text import parse
 
 N1 = FreeMonoid(1)
@@ -91,6 +91,20 @@ class TestNormalize:
     def test_carrier_mismatch_on_foreign_variable(self):
         with pytest.raises(CarrierMismatch):
             normalize(parse("x[1]", N1), N2)
+
+    def test_long_literal_normalizes_without_recursion(self):
+        # a literal is a binary Horner term, nested one level per bit
+        n = 7 ** 1200
+        assert nf(str(n)) == nf_scale(NormalForm.one(N1), n)
+
+    def test_deep_mixed_nesting_normalizes_without_recursion(self):
+        x = Var(MonoidElem.generator(N1, 0))
+        xv, one = nf_var(x.elem), NormalForm.one(N1)
+        term, value = x, xv
+        for _ in range(1000):  # 3000 levels of products, operations and sums
+            term = Prod(x, App(Sum(term, ONE)))
+            value = nf_mul(xv, nf_selfmap(nf_add(value, one)))
+        assert normalize(term, N1) == value
 
     def test_rejects_non_terms(self):
         with pytest.raises(TypeError):
