@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .carrier import CarrierMismatch, FreeMonoid, MonomialBasis
@@ -94,6 +95,13 @@ def _nat_list(text: str) -> list[int]:
     return values
 
 
+def _n_values(text: str) -> tuple[int, ...]:
+    values = tuple(_nat_list(text))
+    if not values:
+        raise ValueError("--n-values needs at least one entry")
+    return values
+
+
 # command -> (compute from the canonical form, structured view, display text)
 _VALUE_COMMANDS = {
     "normalize": (lambda nf, args: nf, nf_to_obj, render_nf),
@@ -133,9 +141,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    n_values = tuple(_nat_list(args.n_values))
-    if not n_values:
-        raise ValueError("--n-values needs at least one entry")
+    n_values = _n_values(args.n_values)
     if args.cases < 0 or args.depth < 0:
         raise ValueError("--cases and --depth must be naturals")
     cfg = SuiteConfig(seed=args.seed, cases=args.cases, max_depth=args.depth,
@@ -149,7 +155,7 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_distinctness(args) -> int:
-    n_values = _nat_list(args.n_values)
+    n_values = _n_values(args.n_values)
     try:
         pairs = check_distinctness(n_values)
     except ValueError as exc:
@@ -178,7 +184,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``).  Point stdout at
+        # devnull so that the flush at exit cannot fail again, and stop
+        # without a traceback, as the SIGPIPE note in Python's docs does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, CarrierMismatch, SelfMapDisabled, ValueError,
             RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,8 @@ import random
 from .carrier import Carrier, FreeMonoid, MonoidElem, MonoidHom
 from .normal import as_monoid_element, normalize
 from .terms import (
-    App, One, Prod, RewriteRule, Sum, Term, Var, Zero, ONE, ZERO,
-    positions, rewrite_step,
+    App, Prod, RewriteRule, Sum, Term, Var, ONE, RULES_FOR, ZERO, positions,
+    rewrite_step,
 )
 
 
@@ -62,50 +62,25 @@ def random_hom(rng: random.Random, domain: FreeMonoid, codomain: FreeMonoid,
     return MonoidHom.from_matrix(domain, codomain, rows)
 
 
+# The payloads the walk draws for the rows of RULES that need one.
+_PAYLOAD_DRAWS = {
+    ("var_add", False): lambda sub, carrier, rng: MonoidElem.from_dict(
+        sub.elem.carrier, {k: rng.randint(0, c) for k, c in sub.elem.items}),
+    ("annihilate", False): lambda sub, carrier, rng: random_term_rng(rng, carrier, 1, 1, 2),
+    ("var_zero", False): lambda sub, carrier, rng: MonoidElem.zero(carrier),
+}
+
+
 def _candidate_moves(term: Term, carrier: Carrier,
                      rng: random.Random) -> list[tuple[RewriteRule, tuple[int, ...]]]:
+    """Every matching row of RULES at every position: positions in preorder,
+    rows in table order, payloads drawn from ``rng`` in that order."""
     moves: list[tuple[RewriteRule, tuple[int, ...]]] = []
     for path, sub in positions(term):
-        # shrink/neutral directions, where the shape matches
-        if isinstance(sub, Sum):
-            moves.append((RewriteRule("comm_add"), path))
-            if isinstance(sub.left, Sum):
-                moves.append((RewriteRule("assoc_add"), path))
-            if isinstance(sub.right, Sum):
-                moves.append((RewriteRule("assoc_add", forward=False), path))
-            if isinstance(sub.right, Zero):
-                moves.append((RewriteRule("unit_add"), path))
-            if isinstance(sub.left, Var) and isinstance(sub.right, Var):
-                moves.append((RewriteRule("var_add"), path))
-            if (isinstance(sub.left, Prod) and isinstance(sub.right, Prod)
-                    and sub.left.right == sub.right.right):
-                moves.append((RewriteRule("distrib", forward=False), path))
-        elif isinstance(sub, Prod):
-            moves.append((RewriteRule("comm_mul"), path))
-            if isinstance(sub.left, Prod):
-                moves.append((RewriteRule("assoc_mul"), path))
-            if isinstance(sub.right, Prod):
-                moves.append((RewriteRule("assoc_mul", forward=False), path))
-            if isinstance(sub.right, One):
-                moves.append((RewriteRule("unit_mul"), path))
-            if isinstance(sub.left, Sum):
-                moves.append((RewriteRule("distrib"), path))
-            if isinstance(sub.left, Zero):
-                moves.append((RewriteRule("annihilate"), path))
-        elif isinstance(sub, Var):
-            if sub.elem.is_zero():
-                moves.append((RewriteRule("var_zero"), path))
-            split = {k: rng.randint(0, c) for k, c in sub.elem.items}
-            payload = MonoidElem.from_dict(sub.elem.carrier, split)
-            moves.append((RewriteRule("var_add", forward=False, payload=payload), path))
-        elif isinstance(sub, Zero):
-            factor = random_term_rng(rng, carrier, 1, 1, 2)
-            moves.append((RewriteRule("annihilate", forward=False, payload=factor), path))
-            zero_elem = MonoidElem.zero(carrier)
-            moves.append((RewriteRule("var_zero", forward=False, payload=zero_elem), path))
-        # grow directions, applicable anywhere
-        moves.append((RewriteRule("unit_add", forward=False), path))
-        moves.append((RewriteRule("unit_mul", forward=False), path))
+        for e in RULES_FOR[type(sub)]:
+            if e.guard is None or e.guard(sub):
+                moves.append((e.rule or RewriteRule(
+                    e.tag, e.forward, _PAYLOAD_DRAWS[e.tag, e.forward](sub, carrier, rng)), path))
     return moves
 
 

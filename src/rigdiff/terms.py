@@ -1,14 +1,18 @@
 """Raw syntax trees for rig expressions, and the generating rewrite rules.
 
 Terms are unquotiented: ``Sum(a, b)`` and ``Sum(b, a)`` are different trees.
-The ten rewrite rules below (each usable in both directions, at any subterm
+The ten rewrite rules (each usable in both directions, at any subterm
 position) generate exactly the identifications that the canonical forms in
 :mod:`rigdiff.normal` decide, which is what the rewrite-invariance laws
-check.
+check.  :data:`RULES` is the one place that states the shape each oriented
+rule matches and what it builds: :func:`rewrite_step` and the seeded walk of
+:mod:`rigdiff.gen` both read it.  The walk proposes the rows matching a
+subterm in table order, so reordering the table changes every seeded walk.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .carrier import MonoidElem, MonoidHom, elem_add, hom_apply
@@ -61,16 +65,26 @@ ONE = One()
 
 
 def term_map_hom(h: MonoidHom, t: Term) -> Term:
-    """Push a carrier homomorphism through a term, variable by variable."""
-    if isinstance(t, Var):
-        return Var(hom_apply(h, t.elem))
-    if isinstance(t, Sum):
-        return Sum(term_map_hom(h, t.left), term_map_hom(h, t.right))
-    if isinstance(t, Prod):
-        return Prod(term_map_hom(h, t.left), term_map_hom(h, t.right))
-    if isinstance(t, App):
-        return App(term_map_hom(h, t.body))
-    return t
+    """Push a carrier homomorphism through a term, variable by variable.
+
+    The stack holds subterms to map and constructors to apply to the mapped
+    children, so long chains need no recursion."""
+    done: list[Term] = []
+    stack: list = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, (Sum, Prod)):
+            stack += (type(s), s.right, s.left)
+        elif isinstance(s, App):
+            stack += (App, s.body)
+        elif s is App:
+            done.append(App(done.pop()))
+        elif s is Sum or s is Prod:
+            right = done.pop()
+            done.append(s(done.pop(), right))
+        else:
+            done.append(Var(hom_apply(h, s.elem)) if isinstance(s, Var) else s)
+    return done[0]
 
 
 def positions(t: Term) -> list[tuple[tuple[int, ...], Term]]:
@@ -90,29 +104,23 @@ def positions(t: Term) -> list[tuple[tuple[int, ...], Term]]:
     return out
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+def _descend(t: Term, path: tuple[int, ...]) -> list[Term]:
+    """The subterms along ``path``, from ``t`` down to the addressed one.  A
+    step is 0 (left) or 1 (right) under a sum or product, and 0 under App."""
+    chain = [t]
     for i in path:
-        if isinstance(t, (Sum, Prod)):
-            t = t.left if i == 0 else t.right
+        if isinstance(t, (Sum, Prod)) and (i == 0 or i == 1):
+            t = t.right if i else t.left
         elif isinstance(t, App) and i == 0:
             t = t.body
         else:
             raise ValueError(f"path {path!r} leaves the term")
-    return t
+        chain.append(t)
+    return chain
 
 
-def _replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    if isinstance(t, (Sum, Prod)):
-        ctor = type(t)
-        if i == 0:
-            return ctor(_replace_at(t.left, rest, new), t.right)
-        return ctor(t.left, _replace_at(t.right, rest, new))
-    if isinstance(t, App) and i == 0:
-        return App(_replace_at(t.body, rest, new))
-    raise ValueError(f"path {path!r} leaves the term")
+def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+    return _descend(t, path)[-1]
 
 
 @dataclass(frozen=True)
@@ -133,73 +141,88 @@ class RuleNotApplicable(ValueError):
     """Raised when a rewrite rule does not match the addressed subterm."""
 
 
+# One row of RULES: the oriented rule (tag, forward) matches an instance of
+# ``node`` on which ``guard`` holds (None: always), and ``build(s, payload)``
+# returns the rewritten subterm.  A row that needs a payload has a ``fits(s,
+# payload)`` check; the others have None there and ``rule``, their one
+# RewriteRule.
+RuleEntry = namedtuple("RuleEntry", "tag forward node guard build fits rule")
+
+
+def _row(tag, forward, node, guard, build, fits=None) -> RuleEntry:
+    return RuleEntry(tag, forward, node, guard, build, fits,
+                     None if fits else RewriteRule(tag, forward))
+
+
+RULES: tuple[RuleEntry, ...] = (
+    _row("comm_add", True, Sum, None, lambda s, _: Sum(s.right, s.left)),
+    _row("assoc_add", True, Sum, lambda s: isinstance(s.left, Sum),
+         lambda s, _: Sum(s.left.left, Sum(s.left.right, s.right))),
+    _row("assoc_add", False, Sum, lambda s: isinstance(s.right, Sum),
+         lambda s, _: Sum(Sum(s.left, s.right.left), s.right.right)),
+    _row("unit_add", True, Sum, lambda s: isinstance(s.right, Zero), lambda s, _: s.left),
+    _row("var_add", True, Sum, lambda s: isinstance(s.left, Var) and isinstance(s.right, Var),
+         lambda s, _: Var(elem_add(s.left.elem, s.right.elem))),
+    _row("distrib", False, Sum,
+         lambda s: (isinstance(s.left, Prod) and isinstance(s.right, Prod)
+                    and s.left.right == s.right.right),
+         lambda s, _: Prod(Sum(s.left.left, s.right.left), s.left.right)),
+    _row("comm_mul", True, Prod, None, lambda s, _: Prod(s.right, s.left)),
+    _row("assoc_mul", True, Prod, lambda s: isinstance(s.left, Prod),
+         lambda s, _: Prod(s.left.left, Prod(s.left.right, s.right))),
+    _row("assoc_mul", False, Prod, lambda s: isinstance(s.right, Prod),
+         lambda s, _: Prod(Prod(s.left, s.right.left), s.right.right)),
+    _row("unit_mul", True, Prod, lambda s: isinstance(s.right, One), lambda s, _: s.left),
+    _row("distrib", True, Prod, lambda s: isinstance(s.left, Sum),
+         lambda s, _: Sum(Prod(s.left.left, s.right), Prod(s.left.right, s.right))),
+    _row("annihilate", True, Prod, lambda s: isinstance(s.left, Zero), lambda s, _: ZERO),
+    _row("var_zero", True, Var, lambda s: s.elem.is_zero(), lambda s, _: ZERO),
+    # backward var_add splits off a summand, which must be a sub-element
+    _row("var_add", False, Var, None,
+         lambda s, p: Sum(Var(p), Var(MonoidElem.from_dict(
+             s.elem.carrier, {k: c - p.coeff(k) for k, c in s.elem.items}))),
+         lambda s, p: isinstance(p, MonoidElem) and all(c <= s.elem.coeff(k) for k, c in p.items)),
+    _row("annihilate", False, Zero, None, lambda s, p: Prod(ZERO, p),
+         lambda s, p: isinstance(p, Term)),
+    _row("var_zero", False, Zero, None, lambda s, p: Var(p),
+         lambda s, p: isinstance(p, MonoidElem) and p.is_zero()),
+    _row("unit_add", False, Term, None, lambda s, _: Sum(s, ZERO)),
+    _row("unit_mul", False, Term, None, lambda s, _: Prod(s, ONE)),
+)
+
+# Rows by (tag, forward).  A swap is its own inverse, so backward comm_add
+# and comm_mul are their forward rows; the walk proposes only those.
+_RULE_INDEX = {(e.tag, e.forward): e for e in RULES}
+_RULE_INDEX.update({(tag, False): _RULE_INDEX[tag, True] for tag in ("comm_add", "comm_mul")})
+
+# The rows that can match a node of each type: its own, then those that
+# match anywhere, in table order.
+RULES_FOR = {cls: tuple(e for e in RULES if issubclass(cls, e.node))
+             for cls in (Zero, One, Var, Sum, Prod, App)}
+
+
 def _apply_rule(s: Term, rule: RewriteRule) -> Term:
-    tag, fwd, payload = rule.tag, rule.forward, rule.payload
-    if tag == "assoc_add":
-        if fwd and isinstance(s, Sum) and isinstance(s.left, Sum):
-            return Sum(s.left.left, Sum(s.left.right, s.right))
-        if not fwd and isinstance(s, Sum) and isinstance(s.right, Sum):
-            return Sum(Sum(s.left, s.right.left), s.right.right)
-    elif tag == "unit_add":
-        if fwd and isinstance(s, Sum) and isinstance(s.right, Zero):
-            return s.left
-        if not fwd:
-            return Sum(s, ZERO)
-    elif tag == "comm_add":
-        if isinstance(s, Sum):
-            return Sum(s.right, s.left)
-    elif tag == "assoc_mul":
-        if fwd and isinstance(s, Prod) and isinstance(s.left, Prod):
-            return Prod(s.left.left, Prod(s.left.right, s.right))
-        if not fwd and isinstance(s, Prod) and isinstance(s.right, Prod):
-            return Prod(Prod(s.left, s.right.left), s.right.right)
-    elif tag == "unit_mul":
-        if fwd and isinstance(s, Prod) and isinstance(s.right, One):
-            return s.left
-        if not fwd:
-            return Prod(s, ONE)
-    elif tag == "comm_mul":
-        if isinstance(s, Prod):
-            return Prod(s.right, s.left)
-    elif tag == "distrib":
-        if fwd and isinstance(s, Prod) and isinstance(s.left, Sum):
-            return Sum(Prod(s.left.left, s.right), Prod(s.left.right, s.right))
-        if (not fwd and isinstance(s, Sum)
-                and isinstance(s.left, Prod) and isinstance(s.right, Prod)
-                and s.left.right == s.right.right):
-            return Prod(Sum(s.left.left, s.right.left), s.left.right)
-    elif tag == "annihilate":
-        if fwd and isinstance(s, Prod) and isinstance(s.left, Zero):
-            return ZERO
-        if not fwd and isinstance(s, Zero):
-            if not isinstance(payload, Term):
-                raise RuleNotApplicable("backward annihilate needs a factor term payload")
-            return Prod(ZERO, payload)
-    elif tag == "var_zero":
-        if fwd and isinstance(s, Var) and s.elem.is_zero():
-            return ZERO
-        if not fwd and isinstance(s, Zero):
-            if not isinstance(payload, MonoidElem) or not payload.is_zero():
-                raise RuleNotApplicable("backward var_zero needs a zero element payload")
-            return Var(payload)
-    elif tag == "var_add":
-        if fwd and isinstance(s, Sum) and isinstance(s.left, Var) and isinstance(s.right, Var):
-            return Var(elem_add(s.left.elem, s.right.elem))
-        if not fwd and isinstance(s, Var):
-            if not isinstance(payload, MonoidElem):
-                raise RuleNotApplicable("backward var_add needs a summand payload")
-            left = dict(payload.items)
-            rest = dict(s.elem.items)
-            for key, c in left.items():
-                if rest.get(key, 0) < c:
-                    raise RuleNotApplicable("payload is not a sub-element of the variable")
-                rest[key] -= c
-            return Sum(Var(payload), Var(MonoidElem.from_dict(s.elem.carrier, rest)))
-    else:
-        raise ValueError(f"unknown rule tag {tag!r}")
-    raise RuleNotApplicable(f"{tag} ({'forward' if fwd else 'backward'}) does not match")
+    e = _RULE_INDEX.get((rule.tag, bool(rule.forward)))
+    if e is None:
+        raise ValueError(f"unknown rule tag {rule.tag!r}")
+    if not isinstance(s, e.node) or (e.guard is not None and not e.guard(s)):
+        raise RuleNotApplicable(
+            f"{rule.tag} ({'forward' if rule.forward else 'backward'}) does not match")
+    if e.fits is not None and not e.fits(s, rule.payload):
+        raise RuleNotApplicable(f"the payload does not fit backward {rule.tag}")
+    return e.build(s, rule.payload)
 
 
 def rewrite_step(t: Term, rule: RewriteRule, path: tuple[int, ...]) -> Term:
-    """Apply one oriented rule at a subterm position."""
-    return _replace_at(t, path, _apply_rule(subterm_at(t, path), rule))
+    """Apply one oriented rule at a subterm position.
+
+    The path is walked once; the rewritten subterm is then wrapped in copies
+    of its ancestors, innermost first, without recursion."""
+    chain = _descend(t, path)
+    new = _apply_rule(chain[-1], rule)
+    for parent, i in zip(reversed(chain[:-1]), reversed(path)):
+        if isinstance(parent, App):
+            new = App(new)
+        else:
+            new = type(parent)(parent.left, new) if i else type(parent)(new, parent.right)
+    return new

@@ -154,14 +154,16 @@ class TestLaws:
         code, out, _ = run(capsys, "laws", "--cases", "2", "--n-values", "0,5")
         assert code == 0 and out.splitlines()[-1].endswith("all laws hold")
 
-    @pytest.mark.parametrize("flags", [
-        ["--n-values", "", "--cases", "2"],
-        ["--n-values", ",", "--cases", "2"],
-        ["--cases", "-1"],
-        ["--depth", "-1", "--cases", "2"],
-    ], ids=["empty-n-values", "blank-n-values", "negative-cases", "negative-depth"])
-    def test_rejects_flag_values_it_cannot_run(self, capsys, flags):
-        code, out, err = run(capsys, "laws", *flags)
+    @pytest.mark.parametrize("argv", [
+        ["laws", "--n-values", "", "--cases", "2"],
+        ["laws", "--n-values", ",", "--cases", "2"],
+        ["laws", "--cases", "-1"],
+        ["laws", "--depth", "-1", "--cases", "2"],
+        ["distinctness", "--n-values", ""],
+    ], ids=["empty-n-values", "blank-n-values", "negative-cases", "negative-depth",
+            "distinctness-empty-n-values"])
+    def test_rejects_flag_values_it_cannot_run(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -288,6 +290,23 @@ class TestErrors:
             [sys.executable, "-m", "rigdiff", "normalize", "x[2]+x[3]"],
             capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "5*x[0]\n"
+
+    def test_closed_pipe_stops_without_a_traceback(self):
+        # About 160 KB of output, well past a pipe's buffer, so the writer
+        # is still writing when the reader goes away.
+        expr = "*".join(["(x[1,0,0]+x[0,1,0]+x[0,0,1]+1)"] * 12)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        with subprocess.Popen(
+                [sys.executable, "-m", "rigdiff", "normalize", "--carrier", "3",
+                 "--format", "structured", expr],
+                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert proc.stdout.read(1) == "["
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=20)
+        assert "Traceback" not in err and err == ""
+        assert proc.returncode == 1
 
 
 # --- the README's command line examples, as printed there

@@ -10,7 +10,7 @@ from rigdiff.gen import random_term_rng
 from rigdiff.normal import normalize
 from rigdiff.terms import (
     App, One, Prod, RewriteRule, RuleNotApplicable, Sum, Var, Zero,
-    ONE, ZERO, positions, rewrite_step, subterm_at, term_map_hom,
+    ONE, RULES, ZERO, positions, rewrite_step, subterm_at, term_map_hom,
 )
 from rigdiff.text import parse
 
@@ -56,14 +56,32 @@ class TestAddressing:
         assert len(out) == 5999
         assert all(subterm_at(t, p) is s for p, s in out[::499])
 
+    def test_rewrite_at_the_bottom_of_a_long_chain(self):
+        t = parse("+".join(["x[1]"] * 3000), N1)
+        path, leaf = max(positions(t), key=lambda ps: len(ps[0]))
+        assert len(path) == 2999
+        out = rewrite_step(t, RewriteRule("unit_mul", forward=False), path)
+        assert subterm_at(out, path) == Prod(leaf, ONE)
+        # every sibling along the path is shared, not copied
+        assert all(subterm_at(out, path[:k] + (1 - path[k],))
+                   is subterm_at(t, path[:k] + (1 - path[k],)) for k in range(0, 2999, 97))
+
+    def test_term_map_hom_on_a_long_chain(self):
+        t = parse("+".join(["x[1]"] * 3000), N1)
+        out = term_map_hom(MonoidHom.from_matrix(N1, N2, [[2, 1]]), t)
+        assert positions(out)[-1] == ((1,), v(N2, {0: 2, 1: 1}))
+        assert normalize(out, N2) == normalize(parse("3000*x[2,1]", N2), N2)
+
     def test_subterm_at(self):
         t = Sum(Prod(ONE, ZERO), App(v(N1, {0: 1})))
         assert subterm_at(t, (0, 1)) == ZERO
         assert subterm_at(t, (1, 0)) == v(N1, {0: 1})
 
     def test_subterm_at_bad_path(self):
-        with pytest.raises(ValueError):
-            subterm_at(ONE, (0,))
+        # a step is 0 or 1 under a sum or product, and 0 under App
+        for t, path in ((ONE, (0,)), (Sum(ONE, ZERO), (7,)), (App(ONE), (1,))):
+            with pytest.raises(ValueError):
+                subterm_at(t, path)
 
     def test_rewrite_at_position_replaces_only_there(self):
         t = Sum(Sum(ONE, ZERO), Sum(ONE, ZERO))
@@ -71,8 +89,9 @@ class TestAddressing:
         assert out == Sum(ONE, Sum(ONE, ZERO))
 
     def test_rewrite_bad_path(self):
-        with pytest.raises(ValueError):
-            rewrite_step(ONE, RewriteRule("comm_add"), (1,))
+        for t, path in ((ONE, (1,)), (Sum(ONE, Sum(ONE, ZERO)), (7,))):
+            with pytest.raises(ValueError):
+                rewrite_step(t, RewriteRule("comm_add"), path)
 
 
 class TestRules:
@@ -180,10 +199,24 @@ class TestRulesPreserveValue:
             (Prod(ZERO, App(b)), RewriteRule("annihilate")),
             (v(N2, {}), RewriteRule("var_zero")),
             (Sum(a, b), RewriteRule("var_add")),
+            (Sum(a, Sum(b, ONE)), RewriteRule("assoc_add", forward=False)),
+            (a, RewriteRule("unit_add", forward=False)),
+            (Sum(a, b), RewriteRule("comm_add", forward=False)),
+            (Prod(a, Prod(b, b)), RewriteRule("assoc_mul", forward=False)),
+            (App(a), RewriteRule("unit_mul", forward=False)),
+            (Prod(a, b), RewriteRule("comm_mul", forward=False)),
+            (Sum(Prod(a, App(b)), Prod(b, App(b))), RewriteRule("distrib", forward=False)),
+            (ZERO, RewriteRule("annihilate", forward=False, payload=App(a))),
+            (ZERO, RewriteRule("var_zero", forward=False, payload=MonoidElem.zero(N2))),
+            (v(N2, {0: 2, 1: 1}), RewriteRule("var_add", forward=False,
+                                              payload=MonoidElem.from_dict(N2, {0: 1}))),
         )
         for term, rule in cases:
             stepped = rewrite_step(term, rule, ())
-            assert normalize(stepped, N2) == normalize(term, N2), rule.tag
+            assert stepped != term, rule
+            assert normalize(stepped, N2) == normalize(term, N2), rule
+        # a row added to the rule table needs an example here
+        assert {(e.tag, e.forward) for e in RULES} <= {(r.tag, r.forward) for _, r in cases}
 
 
 class TestTermMapHom:
