@@ -19,7 +19,10 @@ from .carrier import CarrierMismatch, FreeMonoid, MonomialBasis
 from .derive import d_n
 from .laws import SuiteConfig, check_distinctness, check_laws
 from .modality import CATALOG, RigWithSelfMap, evaluate, mu, rig_from_term
-from .normal import SelfMapDisabled, nf_to_obj, normalize, render_nf, tensor_to_obj
+from .normal import (
+    ArgumentMemo, GenAtom, SelfMapDisabled, nf_to_obj, normalize, render_nf,
+    tensor_to_obj,
+)
 from .text import ParseError, parse, render_tensor
 
 
@@ -68,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--n-values", default="0,1,2,3,7", metavar="LIST")
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = subs.add_parser("distinctness",
@@ -92,13 +94,6 @@ def _nat_list(text: str) -> list[int]:
     values = [int(piece) for piece in text.split(",") if piece.strip() != ""]
     if any(v < 0 for v in values):
         raise ValueError("list entries must be naturals")
-    return values
-
-
-def _n_values(text: str) -> tuple[int, ...]:
-    values = tuple(_nat_list(text))
-    if not values:
-        raise ValueError("--n-values needs at least one entry")
     return values
 
 
@@ -136,16 +131,26 @@ def _cmd_eval(args) -> int:
             raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
         return out
 
+    def check_products(v, memo) -> None:
+        # A product of nonzero factors x has at least the sum of
+        # (bit_length(x) - 1) bits plus one: stop before multiplying out a
+        # monomial whose generator factors alone pass the cap.
+        for mono, _ in v.items:
+            factors = [(images[atom.index], k) for atom, k in mono.atom_counts()
+                       if isinstance(atom, GenAtom)]
+            if all(x for x, _ in factors) and \
+                    sum(k * (x.bit_length() - 1) for x, k in factors) >= MAX_EVAL_BITS:
+                raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
+
+    ArgumentMemo(check_products)[nf]  # nf and every argument nested in it
     print(evaluate(nf, RigWithSelfMap(rig.name, capped), dict(enumerate(images))))
     return 0
 
 
 def _cmd_laws(args) -> int:
-    n_values = _n_values(args.n_values)
     if args.cases < 0 or args.depth < 0:
         raise ValueError("--cases and --depth must be naturals")
-    cfg = SuiteConfig(seed=args.seed, cases=args.cases, max_depth=args.depth,
-                      n_values=n_values)
+    cfg = SuiteConfig(seed=args.seed, cases=args.cases, max_depth=args.depth)
     report = check_laws(cfg)
     if args.format == "structured":
         print(json.dumps(report.to_obj(), indent=2))
@@ -155,7 +160,9 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_distinctness(args) -> int:
-    n_values = _n_values(args.n_values)
+    n_values = _nat_list(args.n_values)
+    if not n_values:
+        raise ValueError("--n-values needs at least one entry")
     try:
         pairs = check_distinctness(n_values)
     except ValueError as exc:

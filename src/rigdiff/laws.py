@@ -5,6 +5,19 @@ suite seed and the law name, so a report is reproducible bit for bit
 (timings aside) and every failure carries the case seed that replays it.
 The derivative entry point is injectable so the harness can be shown to
 catch a deliberately broken implementation.
+
+Each derivative law is checked for every family member n at once, from two
+evaluations (``_every_n``).  Under ``d_n`` every coefficient of either side
+of a law is a polynomial in n with natural coefficients: n enters only as
+the weight of an operation atom, and the sides are built from it with
+additions, products and maps that are linear over the naturals.  Such a
+polynomial has no coefficient above its value at n = 1, so with B above
+every coefficient at n = 1, its value at n = B spells its coefficients as
+base-B digits (Kronecker substitution).  Sides that agree at n = 1 and at
+n = B therefore agree as polynomials, for every n.  The proof covers any
+injected derivation whose coefficients are natural polynomials in n, such
+as ``d_n`` scaled by a natural, ``d(a, 2n)`` or ``d(a, n*n)``; one that
+branches on n is outside it.
 """
 
 from __future__ import annotations
@@ -32,21 +45,24 @@ from .terms import App, Prod, Sum, Var, ONE, ZERO, term_map_hom
 from .text import print_term
 
 
+# Shape of the random cases: base ranks, nesting of the unary operation,
+# coefficient bound, and term depths at level 2, in its variables and at 3.
+RANKS = (1, 2)
+MAX_F_DEPTH = 2
+MAX_COEFF = 5
+LEVEL2_DEPTH = 3
+PAYLOAD_DEPTH = 2
+LEVEL3_DEPTH = 2
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Scale and shape of the randomized law suite."""
+    """Scale of the randomized law suite."""
 
     seed: int = 0
     cases: int = 1000
-    ranks: tuple[int, ...] = (1, 2)
     max_depth: int = 4
-    max_f_depth: int = 2
-    max_coeff: int = 5
-    n_values: tuple[int, ...] = (0, 1, 2, 3, 7)
     level3_cases: int = 50
-    level2_depth: int = 3
-    payload_depth: int = 2
-    level3_depth: int = 2
 
 
 @dataclass(frozen=True)
@@ -112,31 +128,37 @@ class LawReport:
 
 # --- case helpers ---------------------------------------------------------
 
-def _free(rng, cfg) -> FreeMonoid:
-    return FreeMonoid(rng.choice(cfg.ranks))
+def _free(rng) -> FreeMonoid:
+    return FreeMonoid(rng.choice(RANKS))
 
 
-def _term(rng, cfg, carrier, depth=None, f_depth=None):
-    return random_term_rng(
-        rng, carrier,
-        cfg.max_depth if depth is None else depth,
-        cfg.max_f_depth if f_depth is None else f_depth,
-        cfg.max_coeff, cfg.payload_depth)
+def _term(rng, cfg, carrier, f_depth=MAX_F_DEPTH):
+    return random_term_rng(rng, carrier, cfg.max_depth, f_depth, MAX_COEFF,
+                           PAYLOAD_DEPTH)
 
 
 def _nf(rng, cfg, carrier, **kw) -> NormalForm:
     return normalize(_term(rng, cfg, carrier, **kw), carrier)
 
 
-def _level2_nf(rng, cfg, base) -> NormalForm:
+def _level2_nf(rng, base) -> NormalForm:
     carrier2 = MonomialBasis(base)
-    term = random_term_rng(rng, carrier2, cfg.level2_depth, 1,
-                           cfg.max_coeff, cfg.payload_depth)
+    term = random_term_rng(rng, carrier2, LEVEL2_DEPTH, 1, MAX_COEFF,
+                           PAYLOAD_DEPTH)
     return normalize(term, carrier2)
 
 
-def _pick_n(rng, cfg) -> int:
-    return rng.choice(cfg.n_values)
+def _every_n(sides: Callable[[int], tuple]) -> Optional[int]:
+    """An n at which the two values ``sides(n)`` differ, or None when they
+    agree for every natural n (the module docstring gives the proof)."""
+    lhs, rhs = sides(1)
+    if lhs != rhs:
+        return 1
+    if lhs.is_zero():  # natural coefficients that sum to 0 are all 0
+        return None
+    big = 1 + max(c for _, c in lhs.items)
+    lhs, rhs = sides(big)
+    return None if lhs == rhs else big
 
 
 def _prod2(x: NormalForm, y: NormalForm) -> NormalForm:
@@ -147,7 +169,7 @@ def _prod2(x: NormalForm, y: NormalForm) -> NormalForm:
 # --- success and a message on failure
 
 def _run_rig_laws(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     a, b, c = (_nf(rng, cfg, carrier) for _ in range(3))
     zero, one = NormalForm.zero(carrier), NormalForm.one(carrier)
     checks = (
@@ -167,9 +189,9 @@ def _run_rig_laws(rng, cfg, d_n):
 
 
 def _run_normalize_homomorphism(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     t1, t2 = _term(rng, cfg, carrier), _term(rng, cfg, carrier)
-    e = random_elem(rng, carrier, cfg.max_coeff)
+    e = random_elem(rng, carrier, MAX_COEFF)
     n1, n2 = normalize(t1, carrier), normalize(t2, carrier)
     if normalize(Sum(t1, t2), carrier) != nf_add(n1, n2):
         return f"sum case failed for {print_term(t1, carrier)} and {print_term(t2, carrier)}"
@@ -185,7 +207,7 @@ def _run_normalize_homomorphism(rng, cfg, d_n):
 
 
 def _run_rewrite_invariance_normalize(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     t = _term(rng, cfg, carrier)
     steps, vseed = rng.randint(1, 6), rng.getrandbits(32)
     v = equivalent_variant(t, steps, vseed, carrier)
@@ -196,19 +218,20 @@ def _run_rewrite_invariance_normalize(rng, cfg, d_n):
 
 
 def _run_rewrite_invariance_derivative(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     t = _term(rng, cfg, carrier)
     steps, vseed = rng.randint(1, 6), rng.getrandbits(32)
-    n = _pick_n(rng, cfg)
     v = equivalent_variant(t, steps, vseed, carrier)
-    if d_n(normalize(t, carrier), n) != d_n(normalize(v, carrier), n):
+    a, b = normalize(t, carrier), normalize(v, carrier)
+    n = _every_n(lambda n: (d_n(a, n), d_n(b, n)))
+    if n is not None:
         return (f"derivative changed under rewrites (n={n}):"
                 f" {print_term(t, carrier)} became {print_term(v, carrier)}")
     return None
 
 
 def _run_functor_on_terms(rng, cfg, d_n):
-    dom, cod = _free(rng, cfg), _free(rng, cfg)
+    dom, cod = _free(rng), _free(rng)
     h = random_hom(rng, dom, cod)
     t = _term(rng, cfg, dom)
     if normalize(term_map_hom(h, t), cod) != apply_functor(h, normalize(t, dom)):
@@ -217,7 +240,7 @@ def _run_functor_on_terms(rng, cfg, d_n):
 
 
 def _run_functor_composition(rng, cfg, d_n):
-    first, mid, last = (_free(rng, cfg) for _ in range(3))
+    first, mid, last = (_free(rng) for _ in range(3))
     h, k = random_hom(rng, first, mid), random_hom(rng, mid, last)
     a = _nf(rng, cfg, first)
     if apply_functor(MonoidHom.identity(first), a) != a:
@@ -228,24 +251,25 @@ def _run_functor_composition(rng, cfg, d_n):
 
 
 def _run_selfmap_not_scalar(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     witnesses = (
         ("zero", NormalForm.zero(carrier)),
         ("the first variable", nf_var(MonoidElem.generator(carrier, 0))),
         ("a random value", _nf(rng, cfg, carrier)),
     )
-    images = [(label, v, nf_selfmap(v)) for label, v in witnesses]
-    for n in range(11):
-        for label, v, image in images:
-            if image == nf_scale(v, n):
-                return f"operation equals {n}*id on {label}: {v}"
+    for label, v in witnesses:
+        image = nf_selfmap(v)
+        # image == n*v for at most one n: the ratio on v's first monomial
+        n = image.coeff(v.items[0][0]) // v.items[0][1] if v.items else 0
+        if image == nf_scale(v, n):
+            return f"operation equals {n}*id on {label}: {v}"
     return None
 
 
 def _run_unit_additive(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
-    e1 = random_elem(rng, carrier, cfg.max_coeff)
-    e2 = random_elem(rng, carrier, cfg.max_coeff)
+    carrier = _free(rng)
+    e1 = random_elem(rng, carrier, MAX_COEFF)
+    e2 = random_elem(rng, carrier, MAX_COEFF)
     if unit(elem_add(e1, e2)) != nf_add(unit(e1), unit(e2)):
         return f"unit not additive on {e1.items!r} and {e2.items!r}"
     if not unit(MonoidElem.zero(carrier)).is_zero():
@@ -254,7 +278,7 @@ def _run_unit_additive(rng, cfg, d_n):
 
 
 def _run_monad_unit(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     a = _nf(rng, cfg, carrier)
     if mu(unit(as_monoid_element(a))) != a:
         return f"collapse after outer unit moved {a}"
@@ -267,11 +291,11 @@ def _run_monad_unit(rng, cfg, d_n):
 
 
 def _run_monad_associativity(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     level2 = MonomialBasis(carrier)
     level3 = MonomialBasis(level2)
-    a3 = normalize(random_term_rng(rng, level3, cfg.level3_depth, 1, 2,
-                                   cfg.payload_depth), level3)
+    a3 = normalize(random_term_rng(rng, level3, LEVEL3_DEPTH, 1, 2,
+                                   PAYLOAD_DEPTH), level3)
     lhs = mu(mu(a3))
     h_m = MonoidHom(level3, level2,
                     lambda nu: as_monoid_element(mu(nf_from_monomial(level2, nu))))
@@ -282,8 +306,8 @@ def _run_monad_associativity(rng, cfg, d_n):
 
 
 def _run_modality_square(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
-    u2, v2 = _level2_nf(rng, cfg, carrier), _level2_nf(rng, cfg, carrier)
+    carrier = _free(rng)
+    u2, v2 = _level2_nf(rng, carrier), _level2_nf(rng, carrier)
     lhs = mu(_prod2(u2, v2))
     rhs = _prod2(mu(u2), mu(v2))
     if lhs != rhs:
@@ -292,7 +316,7 @@ def _run_modality_square(rng, cfg, d_n):
 
 
 def _run_monoid_structure(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     a, b, c = (_nf(rng, cfg, carrier) for _ in range(3))
     if _prod2(_prod2(a, b), c) != _prod2(a, _prod2(b, c)):
         return f"tensor multiplication not associative on a={a}, b={b}, c={c}"
@@ -305,7 +329,7 @@ def _run_monoid_structure(rng, cfg, d_n):
 
 
 def _run_naturality_monoid_structure(rng, cfg, d_n):
-    dom, cod = _free(rng, cfg), _free(rng, cfg)
+    dom, cod = _free(rng), _free(rng)
     h = random_hom(rng, dom, cod)
     a, b = _nf(rng, cfg, dom), _nf(rng, cfg, dom)
     k = rng.randint(0, 5)
@@ -319,11 +343,11 @@ def _run_naturality_monoid_structure(rng, cfg, d_n):
 
 
 def _run_evaluation_homomorphism(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
     rig = CATALOG[rng.choice(sorted(CATALOG))]
     phi = {i: rng.randint(0, 4) for i in range(carrier.rank)}
-    e = random_elem(rng, carrier, cfg.max_coeff)
+    e = random_elem(rng, carrier, MAX_COEFF)
 
     def ev(x):
         return evaluate(x, rig, phi)
@@ -343,101 +367,112 @@ def _run_evaluation_homomorphism(rng, cfg, d_n):
 
 
 def _run_product_rule(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
-    n = _pick_n(rng, cfg)
-    lhs = d_n(nf_mul(a, b), n)
-    left_term = nabla_at(tensor_concat(nf_as_tensor(a), d_n(b, n)), 0)
-    right_term = nabla_at(
-        tensor_permute(tensor_concat(d_n(a, n), nf_as_tensor(b)), (0, 2, 1)), 0)
-    if lhs != tensor_add(left_term, right_term):
+    ab, a_t, b_t = nf_mul(a, b), nf_as_tensor(a), nf_as_tensor(b)
+
+    def sides(n):
+        left_term = nabla_at(tensor_concat(a_t, d_n(b, n)), 0)
+        right_term = nabla_at(
+            tensor_permute(tensor_concat(d_n(a, n), b_t), (0, 2, 1)), 0)
+        return d_n(ab, n), tensor_add(left_term, right_term)
+
+    n = _every_n(sides)
+    if n is not None:
         return f"product rule failed for a={a}, b={b}, n={n}"
     return None
 
 
 def _run_linear_rule(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
-    e = random_elem(rng, carrier, cfg.max_coeff)
-    n = _pick_n(rng, cfg)
+    carrier = _free(rng)
+    e = random_elem(rng, carrier, MAX_COEFF)
     one_elem = MonoidElem.generator(MonomialBasis(carrier), ONE_MONOMIAL)
-    if d_n(unit(e), n) != tensor_pure([one_elem, e]):
+    n = _every_n(lambda n: (d_n(unit(e), n), tensor_pure([one_elem, e])))
+    if n is not None:
         return f"linear rule failed for element {e.items!r}, n={n}"
     return None
 
 
 def _run_chain_rule(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     level2 = MonomialBasis(carrier)
-    a2 = _level2_nf(rng, cfg, carrier)
-    n = _pick_n(rng, cfg)
-    lhs = d_n(mu(a2), n)
-    maps = [
-        (lambda nu: as_monoid_element(mu(nf_from_monomial(level2, nu))), (level2,)),
-        (lambda mo: d_n(nf_from_monomial(carrier, mo), n), (level2, carrier)),
-    ]
-    rhs = nabla_at(tensor_bimap(d_n(a2, n), maps), 0)
-    if lhs != rhs:
+    a2 = _level2_nf(rng, carrier)
+    collapsed = mu(a2)
+
+    def sides(n):
+        maps = [
+            (lambda nu: as_monoid_element(mu(nf_from_monomial(level2, nu))), (level2,)),
+            (lambda mo: d_n(nf_from_monomial(carrier, mo), n), (level2, carrier)),
+        ]
+        return d_n(collapsed, n), nabla_at(tensor_bimap(d_n(a2, n), maps), 0)
+
+    n = _every_n(sides)
+    if n is not None:
         return f"chain rule failed for {a2}, n={n}"
     return None
 
 
 def _run_interchange_rule(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     a = _nf(rng, cfg, carrier)
-    n = _pick_n(rng, cfg)
     level2 = MonomialBasis(carrier)
-    maps = [
-        (lambda mo: d_n(nf_from_monomial(carrier, mo), n), (level2, carrier)),
-        (lambda i: MonoidElem.generator(carrier, i), (carrier,)),
-    ]
-    lifted = tensor_bimap(d_n(a, n), maps)
-    if lifted != tensor_permute(lifted, (0, 2, 1)):
+
+    def sides(n):
+        maps = [
+            (lambda mo: d_n(nf_from_monomial(carrier, mo), n), (level2, carrier)),
+            (lambda i: MonoidElem.generator(carrier, i), (carrier,)),
+        ]
+        lifted = tensor_bimap(d_n(a, n), maps)
+        return lifted, tensor_permute(lifted, (0, 2, 1))
+
+    n = _every_n(sides)
+    if n is not None:
         return f"interchange rule failed for {a}, n={n}"
     return None
 
 
 def _run_naturality_derivative(rng, cfg, d_n):
-    dom, cod = _free(rng, cfg), _free(rng, cfg)
+    dom, cod = _free(rng), _free(rng)
     h = random_hom(rng, dom, cod)
     a = _nf(rng, cfg, dom)
-    n = _pick_n(rng, cfg)
     cod2 = MonomialBasis(cod)
     maps = [
         (lambda mo: as_monoid_element(apply_functor(h, nf_from_monomial(dom, mo))),
          (cod2,)),
         (lambda i: h.image_of(i), (cod,)),
     ]
-    lhs = tensor_bimap(d_n(a, n), maps)
-    rhs = d_n(apply_functor(h, a), n)
-    if lhs != rhs:
+    mapped = apply_functor(h, a)
+    n = _every_n(lambda n: (tensor_bimap(d_n(a, n), maps), d_n(mapped, n)))
+    if n is not None:
         return f"derivative not natural on {a}, n={n}"
     return None
 
 
 def _run_derivative_additive(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
-    n = _pick_n(rng, cfg)
-    if d_n(nf_add(a, b), n) != tensor_add(d_n(a, n), d_n(b, n)):
+    n = _every_n(lambda n: (d_n(nf_add(a, b), n), tensor_add(d_n(a, n), d_n(b, n))))
+    if n is not None:
         return f"derivative not additive on a={a}, b={b}, n={n}"
-    if not d_n(NormalForm.zero(carrier), n).is_zero():
+    # natural coefficients that sum to 0 are all 0
+    if not d_n(NormalForm.zero(carrier), 1).is_zero():
         return "derivative of zero is not zero"
     return None
 
 
 def _run_n_independence(rng, cfg, d_n):
-    carrier = _free(rng, cfg)
+    carrier = _free(rng)
     a = _nf(rng, cfg, carrier, f_depth=0)
-    base = d_n(a, cfg.n_values[0])
-    for n in cfg.n_values[1:]:
-        if d_n(a, n) != base:
-            return f"operation-free value {a} separated n={cfg.n_values[0]} from n={n}"
+    # P(1) = P(2) with natural coefficients forces P to be constant
+    if d_n(a, 1) != d_n(a, 2):
+        return f"operation-free value {a} separated n=1 from n=2"
     return None
 
 
 def _run_distinctness(rng, cfg, d_n):
     try:
-        pairs = check_distinctness(range(11), derive_fn=d_n)
+        # P(1) = 1 and P(2) = 2 with natural coefficients force P(n) = n
+        pairs = check_distinctness((1, 2), derive_fn=d_n)
     except ValueError as exc:
         return str(exc)
     bad = [(n, v) for n, v in pairs if v != n]

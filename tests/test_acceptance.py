@@ -14,7 +14,9 @@ from rigdiff.carrier import (
 )
 from rigdiff.derive import d_n, seeded_derivation, sym_derive
 from rigdiff.gen import random_hom, random_term_rng
-from rigdiff.laws import SuiteConfig, check_distinctness, run_law
+from rigdiff.laws import (
+    MAX_COEFF, MAX_F_DEPTH, RANKS, SuiteConfig, check_distinctness, run_law,
+)
 from rigdiff.modality import eta, nabla
 from rigdiff.normal import (
     GenAtom, Monomial, NormalForm, apply_functor, as_monoid_element,
@@ -25,7 +27,8 @@ from rigdiff.text import parse
 
 ACCEPTANCE_LINES = []
 
-FULL = SuiteConfig()  # 1000 cases, ranks 1 and 2, n in {0, 1, 2, 3, 7}
+FULL = SuiteConfig()  # 1000 cases per law, each for every n
+N_VALUES = (0, 1, 2, 3, 7)  # the members the oracle and naturality draws use
 
 
 def record(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -75,10 +78,9 @@ def test_criterion_4_oracle_equivalence():
     rng = random.Random("acceptance:oracle")
     mismatches = 0
     for _ in range(1000):
-        carrier = FreeMonoid(rng.choice(FULL.ranks))
-        t = random_term_rng(rng, carrier, FULL.max_depth, FULL.max_f_depth,
-                            FULL.max_coeff)
-        n = rng.choice(FULL.n_values)
+        carrier = FreeMonoid(rng.choice(RANKS))
+        t = random_term_rng(rng, carrier, FULL.max_depth, MAX_F_DEPTH, MAX_COEFF)
+        n = rng.choice(N_VALUES)
         if d_n(normalize(t, carrier), n) != term_derivative(t, carrier, n):
             mismatches += 1
     assert record(4, "canonical derivative equals the term recursion",
@@ -100,10 +102,9 @@ def test_criterion_6_naturality():
     for case in range(500):
         cod = FreeMonoid(2) if case % 2 == 0 else FreeMonoid(1)
         h = random_hom(rng, dom, cod)
-        t = random_term_rng(rng, dom, FULL.max_depth, FULL.max_f_depth,
-                            FULL.max_coeff)
+        t = random_term_rng(rng, dom, FULL.max_depth, MAX_F_DEPTH, MAX_COEFF)
         a = normalize(t, dom)
-        n = rng.choice(FULL.n_values)
+        n = rng.choice(N_VALUES)
         cod2 = MonomialBasis(cod)
         maps = [
             (lambda mono: as_monoid_element(

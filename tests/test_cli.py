@@ -126,6 +126,20 @@ class TestMuAndEval:
         assert code == "2" and float(elapsed) < 1
         assert proc.stderr == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
 
+    def test_eval_stops_before_a_large_product(self):
+        # 3000 factors of a 4212-bit image make about 12.6 million bits:
+        # far more work than any printable answer needs.
+        argv = ["eval", "--phi", str(3 ** 2657), "--target", "identity",
+                "*".join(["x[1]"] * 3000)]
+        script = ("import time; from rigdiff.cli import main; "
+                  "start = time.perf_counter(); "
+                  f"code = main({argv!r}); "
+                  "print(code, time.perf_counter() - start)")
+        proc = child_run("-c", script)
+        code, elapsed = proc.stdout.split()
+        assert code == "2" and float(elapsed) < 5
+        assert proc.stderr == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
+
     def test_eval_below_the_cap_stays_exact(self, capsys):
         code, out, _ = run(capsys, "eval", "--carrier", "0", "--phi", "",
                            "--target", "square", tower(12, "f(", "2"))
@@ -151,12 +165,15 @@ class TestLaws:
         assert obj["ok"] is True and obj["config"]["cases"] == 3
 
     def test_custom_n_values(self, capsys):
-        code, out, _ = run(capsys, "laws", "--cases", "2", "--n-values", "0,5")
-        assert code == 0 and out.splitlines()[-1].endswith("all laws hold")
+        # every law holds for every n, so there is no sample of n to set
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "laws", "--cases", "2", "--n-values", "0,5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["laws", "--n-values", "", "--cases", "2"],
-        ["laws", "--n-values", ",", "--cases", "2"],
+        ["distinctness", "--n-values", ","],
+        ["distinctness", "--n-values", " , ", "--format", "structured"],
         ["laws", "--cases", "-1"],
         ["laws", "--depth", "-1", "--cases", "2"],
         ["distinctness", "--n-values", ""],

@@ -11,7 +11,8 @@ from rigdiff.carrier import (
 from rigdiff.derive import SymmetricModeError, d_n, seeded_derivation, sym_derive
 from rigdiff.gen import random_term_rng
 from rigdiff.normal import (
-    AppAtom, GenAtom, Monomial, NormalForm, ONE_MONOMIAL, normalize,
+    AppAtom, ArgumentMemo, GenAtom, Monomial, NormalForm, ONE_MONOMIAL,
+    normalize,
 )
 from rigdiff.text import parse
 
@@ -80,6 +81,31 @@ class TestDn:
             t = random_term_rng(rng, carrier, 4, 2, 5)
             n = rng.choice((0, 1, 2, 3, 7))
             assert d_n(normalize(t, carrier), n) == term_derivative(t, carrier, n)
+
+    def test_coefficients_are_polynomials_in_n_of_degree_at_most_the_f_depth(self):
+        # The premise of the law suite's every-n check: each coefficient of
+        # d_n(v) is a polynomial in n, so its finite differences over
+        # n = 0..D+1 vanish at order D + 1, D the nesting depth of f in v.
+        def f_depth(w, memo):
+            return max((1 + memo[atom.argument] for mono, _ in w.items
+                        for atom in mono.atoms if isinstance(atom, AppAtom)),
+                       default=0)
+
+        rng = random.Random(5)
+        violations, depths = 0, set()
+        for _ in range(500):
+            carrier = rng.choice((N1, N2, L2))
+            v = normalize(random_term_rng(rng, carrier, 4, 3, 4), carrier)
+            depth = ArgumentMemo(f_depth)[v]
+            depths.add(depth)
+            coeffs = [dict(d_n(v, n).items) for n in range(depth + 2)]
+            for key in set().union(*coeffs):
+                diffs = [c.get(key, 0) for c in coeffs]
+                for _ in range(depth + 1):
+                    diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                violations += diffs != [0]
+        assert violations == 0
+        assert depths == {0, 1, 2, 3}
 
     def test_interchange_lift_example(self):
         lifted = tensor_bimap(d_n(nf("x[1]*x[1]"), 0), [

@@ -1,13 +1,17 @@
 """The law registry, its reports, and the harness's own error detection."""
 
+from dataclasses import fields
+
 import pytest
 
 from rigdiff.carrier import tensor_scale
 from rigdiff.derive import d_n
 from rigdiff.laws import (
-    LAWS, SuiteConfig, check_distinctness, check_laws, law_names, replay_case,
-    run_law,
+    LAWS, LEVEL2_DEPTH, LEVEL3_DEPTH, MAX_COEFF, MAX_F_DEPTH, PAYLOAD_DEPTH,
+    RANKS, SuiteConfig, _case_seeds, check_distinctness, check_laws, law_names,
+    replay_case, run_law,
 )
+from rigdiff.normal import nf_scale, nf_selfmap
 
 EXPECTED_NAMES = (
     "rig_laws",
@@ -43,6 +47,18 @@ def doubled(a, n):
 
 def shifted(a, n):
     return d_n(a, 2 * n)
+
+
+def split(a, n):
+    """Agrees with d_n at n = 0 and 1 only: level 2 weighs in n * n."""
+    return d_n(a, n if a.carrier.level == 1 else n * n)
+
+
+DERIVATIVE_LAWS = (
+    "rewrite_invariance_derivative", "product_rule", "linear_rule",
+    "chain_rule", "interchange_rule", "naturality_derivative",
+    "derivative_additive",
+)
 
 
 class TestRegistry:
@@ -118,6 +134,31 @@ class TestHarnessCatchesCorruption:
         assert result.ok
         assert replay_case("product_rule", 12345, SMALL) is None
 
+    def test_every_n_verdict_is_the_conjunction_of_fixed_n_verdicts(self):
+        mismatches, caught_above_one = [], 0
+        for fn in (d_n, doubled, split):
+            for law in DERIVATIVE_LAWS:
+                for seed in _case_seeds(7, law, 60):
+                    fixed = [replay_case(law, seed, SMALL,
+                                         derive_fn=lambda a, _, k=k: fn(a, k)) is None
+                             for k in range(8)]
+                    every = replay_case(law, seed, SMALL, derive_fn=fn) is None
+                    if every != all(fixed):
+                        mismatches.append((fn.__name__, law, seed))
+                    caught_above_one += fixed[0] and fixed[1] and not all(fixed)
+        assert mismatches == []
+        assert caught_above_one > 0
+
+    @pytest.mark.parametrize("factor", [2, 10, 11, 13])
+    def test_operation_as_any_fixed_multiple_is_caught(self, monkeypatch, factor):
+        def scaled(v):
+            return nf_selfmap(v) if v.is_zero() else nf_scale(v, factor)
+
+        monkeypatch.setattr("rigdiff.laws.nf_selfmap", scaled)
+        result = run_law("selfmap_not_scalar", SuiteConfig(cases=50))
+        assert len(result.failures) == 50
+        assert f"operation equals {factor}*id" in result.failures[0].message
+
     def test_failure_report_renders_seeds(self):
         report = check_laws(SuiteConfig(cases=4, level3_cases=2),
                             derive_fn=doubled)
@@ -140,6 +181,8 @@ class TestDistinctness:
 class TestConfig:
     def test_defaults_are_the_documented_scale(self):
         cfg = SuiteConfig()
-        assert (cfg.seed, cfg.cases, cfg.ranks) == (0, 1000, (1, 2))
-        assert cfg.n_values == (0, 1, 2, 3, 7)
-        assert cfg.level3_cases == 50
+        assert [f.name for f in fields(cfg)] == [
+            "seed", "cases", "max_depth", "level3_cases"]
+        assert (cfg.seed, cfg.cases, cfg.max_depth, cfg.level3_cases) == (0, 1000, 4, 50)
+        assert (RANKS, MAX_F_DEPTH, MAX_COEFF) == ((1, 2), 2, 5)
+        assert (LEVEL2_DEPTH, PAYLOAD_DEPTH, LEVEL3_DEPTH) == (3, 2, 2)
