@@ -1,5 +1,6 @@
 """Concrete syntax: parsing, printing and the two text renderings."""
 
+import hashlib
 import random
 import time
 
@@ -98,6 +99,26 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("", N1)
+
+
+PIECES = tuple("xyzfgh()[]+*,0123") + (" ", "\n", "x[1]", "y[", "f(", "12", "x[1,0]")
+
+
+def test_parse_outcomes_are_frozen():
+    # 7000 seeded strings of 0-14 pieces, each parsed over N1, N2 and level
+    # 2: the digest pins every tree and every error message and position.
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for _ in range(7000):
+        text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 14)))
+        for carrier in (N1, N2, L2):
+            try:
+                outcome = repr(parse(text, carrier))
+            except ParseError as exc:
+                outcome = f"ParseError: {exc}"
+            digest.update(f"{outcome}\n".encode())
+    assert digest.hexdigest() == \
+        "7364b05be67e91a4a85415345c92b30ead028add919a2bac5bcff2b6e2501daa"
 
 
 class TestPrintTerm:
