@@ -14,21 +14,14 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .carrier import CarrierMismatch, FreeMonoid, MonomialBasis
 from .derive import d_n
 from .laws import SuiteConfig, check_distinctness, check_laws
-from .modality import CATALOG, RigWithSelfMap, evaluate, mu, rig_from_term
-from .normal import (
-    ArgumentMemo, GenAtom, SelfMapDisabled, nf_to_obj, normalize, render_nf,
-    tensor_to_obj,
-)
+from .modality import CATALOG, MAX_EVAL_BITS, evaluate, mu, rig_from_term
+from .normal import SelfMapDisabled, nf_to_obj, normalize, render_nf, tensor_to_obj
 from .text import ParseError, parse, render_tensor
-
-
-# ``eval`` stops above this bit length; no printable answer comes near it
-# (Python prints no int above 4300 digits, about 14,300 bits).
-MAX_EVAL_BITS = 1 << 16
 
 
 def _base_flags(sub, levels: bool = True) -> None:
@@ -59,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     _base_flags(p, levels=False)
     p.set_defaults(level=2)
 
-    p = subs.add_parser("eval", help="evaluate in the naturals")
+    p = subs.add_parser("eval", help="evaluate in the naturals (up to %d bits)"
+                        % MAX_EVAL_BITS)
     _base_flags(p, levels=False)
     p.add_argument("--target", required=True, metavar="RIG",
                    help="catalog name (%s) or a one-variable expression"
@@ -124,26 +118,7 @@ def _cmd_eval(args) -> int:
     if rig is None:
         rig_carrier = FreeMonoid(1)
         rig = rig_from_term(parse(args.target, rig_carrier), rig_carrier)
-
-    def capped(v: int) -> int:
-        out = rig.selfmap(v)
-        if out.bit_length() > MAX_EVAL_BITS:
-            raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
-        return out
-
-    def check_products(v, memo) -> None:
-        # A product of nonzero factors x has at least the sum of
-        # (bit_length(x) - 1) bits plus one: stop before multiplying out a
-        # monomial whose generator factors alone pass the cap.
-        for mono, _ in v.items:
-            factors = [(images[atom.index], k) for atom, k in mono.atom_counts()
-                       if isinstance(atom, GenAtom)]
-            if all(x for x, _ in factors) and \
-                    sum(k * (x.bit_length() - 1) for x, k in factors) >= MAX_EVAL_BITS:
-                raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
-
-    ArgumentMemo(check_products)[nf]  # nf and every argument nested in it
-    print(evaluate(nf, RigWithSelfMap(rig.name, capped), dict(enumerate(images))))
+    print(evaluate(nf, rig, dict(enumerate(images))))
     return 0
 
 
@@ -163,6 +138,9 @@ def _cmd_distinctness(args) -> int:
     n_values = _nat_list(args.n_values)
     if not n_values:
         raise ValueError("--n-values needs at least one entry")
+    repeated = sorted(n for n, k in Counter(n_values).items() if k > 1)
+    if repeated:
+        raise ValueError(f"--n-values repeats {', '.join(map(str, repeated))}")
     try:
         pairs = check_distinctness(n_values)
     except ValueError as exc:

@@ -101,15 +101,27 @@ CATALOG: dict[str, RigWithSelfMap] = {
 }
 
 
+# ``evaluate`` stops above this bit length; no printable answer comes near
+# it (Python prints no int above 4300 digits, about 14,300 bits).
+MAX_EVAL_BITS = 1 << 16
+_LARGEST = (1 << MAX_EVAL_BITS) - 1  # the largest natural within the bound
+
+
 def evaluate(a: NormalForm, rig: RigWithSelfMap, phi: Mapping[object, int]) -> int:
     """Evaluate a value in the naturals, sending basis generator k to phi[k]
     and the formal unary operation to the rig's map.
 
     Within one call each distinct operation argument is evaluated once, so
     ``rig.selfmap`` must be a function: it is called once per distinct
-    argument, not once per occurrence."""
-    return _evaluate(a, phi, ArgumentMemo(
-        lambda v, memo: rig.selfmap(_evaluate(v, phi, memo))))
+    argument, not once per occurrence.  A map result or a monomial past
+    ``MAX_EVAL_BITS`` bits raises ``ValueError``; one with a zero factor is 0."""
+    def apply(v: NormalForm, memo: ArgumentMemo) -> int:
+        out = rig.selfmap(_evaluate(v, phi, memo))
+        if out > _LARGEST:
+            raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
+        return out
+
+    return _evaluate(a, phi, ArgumentMemo(apply))
 
 
 def _evaluate(a: NormalForm, phi: Mapping[object, int], memo: ArgumentMemo) -> int:
@@ -122,9 +134,16 @@ def _evaluate(a: NormalForm, phi: Mapping[object, int], memo: ArgumentMemo) -> i
             if isinstance(atom, GenAtom):
                 if atom.index not in phi:
                     raise ValueError(f"phi gives no image for generator {atom.index!r}")
-                prod *= phi[atom.index]
+                x = phi[atom.index]
             else:
-                prod *= memo[atom.argument]
+                x = memo[atom.argument]
+            if prod <= _LARGEST:
+                prod *= x
+            elif not x:  # past the bound only a zero factor saves the monomial
+                prod = 0
+                break
+        if prod > _LARGEST:
+            raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
         total += c * prod
     return total
 

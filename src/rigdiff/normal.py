@@ -522,26 +522,49 @@ def nf_to_obj(a: NormalForm) -> list:
     return _nf_obj(a, ArgumentMemo(_app_obj))
 
 
-def _atom_from_obj(carrier: Carrier, obj) -> Atom:
+def _atom_from_obj(carrier: Carrier, obj, built: dict) -> Atom:
     if "gen" in obj:
         key = obj["gen"]
         if isinstance(key, list):
             if not isinstance(carrier, MonomialBasis):
                 raise CarrierMismatch("monomial generator key needs a monomial-basis carrier")
-            key = Monomial(_atom_from_obj(carrier.base, a) for a in key)
+            key = Monomial(_atom_from_obj(carrier.base, a, built) for a in key)
         carrier.check_key(key)
         return GenAtom(key)
     if "app" in obj:
-        return AppAtom(nf_from_obj(carrier, obj["app"]))
+        return AppAtom(built[id(obj["app"])])
     raise ValueError(f"not an atom object: {obj!r}")
 
 
+def _app_objs(carrier: Carrier, atoms) -> Iterable[tuple[Carrier, list]]:
+    """(carrier, argument) of each operation atom object, in keys too."""
+    for obj in atoms:
+        if "gen" in obj:
+            if isinstance(obj["gen"], list) and isinstance(carrier, MonomialBasis):
+                yield from _app_objs(carrier.base, obj["gen"])
+        elif "app" in obj:
+            yield carrier, obj["app"]
+
+
 def nf_from_obj(carrier: Carrier, obj) -> NormalForm:
-    acc: dict[Monomial, int] = {}
-    for entry in obj:
-        m = Monomial(_atom_from_obj(carrier, a) for a in entry["atoms"])
-        acc[m] = acc.get(m, 0) + entry["coeff"]
-    return NormalForm.from_dict(carrier, acc)
+    """Read back ``nf_to_obj``'s view.  Arguments are read innermost first
+    from an explicit stack, so nesting adds no Python frame per level."""
+    built: dict[int, NormalForm] = {}  # id of an object read -> its value
+    stack = [(carrier, obj)]
+    while stack:
+        c, o = stack[-1]
+        inner = [(ci, a) for entry in o for ci, a in _app_objs(c, entry["atoms"])
+                 if id(a) not in built]
+        if inner:
+            stack += inner
+            continue
+        stack.pop()
+        acc: dict[Monomial, int] = {}
+        for entry in o:
+            m = Monomial(_atom_from_obj(c, a, built) for a in entry["atoms"])
+            acc[m] = acc.get(m, 0) + entry["coeff"]
+        built[id(o)] = NormalForm.from_dict(c, acc)
+    return built[id(obj)]
 
 
 def tensor_to_obj(a) -> dict:

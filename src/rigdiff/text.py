@@ -15,11 +15,19 @@ f/g/h are interchangeable on input; the carrier argument fixes the meaning.
 Naturals other than 0 and 1 are sugar for sums and products of 1 (binary
 Horner, so a long literal stays a shallow term), which keeps the canonical
 renderings (like ``5*x[0]``) readable back in.
+
+One regex pass turns the text into tokens, and ``parse`` is one loop over
+them.  Each open group (``(``, ``f(`` or a level-2 ``y[``) pushes a frame
+onto an explicit stack: its closer, its wrap (``App``, the payload's
+variable, or nothing), the enclosing carrier and the enclosing sum and
+product built so far.  The matching closer pops the frame and wraps the
+group's term, so nesting costs no Python frame.  Sums and products are
+left-associative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .carrier import Carrier, FreeMonoid, MonoidElem, MonomialBasis, TensorElem
 from .normal import (
@@ -37,48 +45,38 @@ _VAR_NAMES = {"x", "y", "z"}
 _APP_NAMES = {"f", "g", "h"}
 
 # Deepest nesting of "(", "f(" and level-2 "[payload]" that the parser
-# accepts.  Parsing and reading structured input (``nf_from_obj``) recurse
-# once per level, and at this depth both stay within Python's default
-# recursion limit.
+# accepts.  The parser needs no limit, but the commands that consume a tree
+# do: at depth 300, ``normalize`` of the sum of two different ``f`` towers
+# and ``json.dumps`` of the structured output exceed the recursion limit,
+# while depth 150 still works.
 MAX_NESTING = 100
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "nat" | "name" | "sym" | "end"
-    value: object
-    line: int
-    col: int
+# A natural (the digits ``int`` reads), a run of letters, a symbol, or any
+# other non-space character (an error); whitespace is what ``str.isspace``
+# accepts.  The letter class also admits numeric characters such as "²",
+# which ``_tokenize`` rejects.
+_TOKEN = re.compile(r"(\d+)|([^\W\d_]+)|([+*()\[\],])|\S")
 
 
-def _tokenize(src: str) -> list[_Token]:
-    out = []
-    line, col, i = 1, 1, 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-        elif ch.isspace():
-            col, i = col + 1, i + 1
-        elif ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            out.append(_Token("nat", int(src[i:j]), line, col))
-            col, i = col + (j - i), j
-        elif ch.isalpha():
-            j = i
-            while j < len(src) and src[j].isalpha():
-                j += 1
-            out.append(_Token("name", src[i:j], line, col))
-            col, i = col + (j - i), j
-        elif ch in "+*()[],":
-            out.append(_Token("sym", ch, line, col))
-            col, i = col + 1, i + 1
+def _at(src: str, pos: int) -> str:
+    line, col = src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos)
+    return f"line {line}, column {col}"
+
+
+def _tokenize(src: str) -> tuple[list, list[int]]:
+    """Tokens (ints, names and symbols, then None) and their offsets."""
+    tokens, offsets = [], []
+    for m in _TOKEN.finditer(src):
+        text = m.group()
+        if m.lastindex == 1:
+            tokens.append(int(text))
+        elif m.lastindex == 3 or text.isalpha():
+            tokens.append(text)
         else:
-            raise ParseError(f"unexpected character {ch!r} at line {line}, column {col}")
-    out.append(_Token("end", None, line, col))
-    return out
+            pos = m.start() + next(k for k, ch in enumerate(text) if not ch.isalpha())
+            raise ParseError(f"unexpected character {src[pos]!r} at {_at(src, pos)}")
+        offsets.append(m.start())
+    return tokens + [None], offsets + [len(src)]
 
 
 def _nat_term(n: int) -> Term:
@@ -94,97 +92,76 @@ def _nat_term(n: int) -> Term:
     return term
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, sym: str) -> _Token:
-        tok = self.take()
-        if tok.kind != "sym" or tok.value != sym:
-            raise ParseError(f"expected {sym!r} at line {tok.line}, column {tok.col}")
-        return tok
-
-    def expr(self, carrier: Carrier) -> Term:
-        if self.depth > MAX_NESTING:
-            opener = self.tokens[self.pos - 1]
-            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels "
-                             f"at line {opener.line}, column {opener.col}")
-        self.depth += 1
-        term = self.mult(carrier)
-        while self.peek().kind == "sym" and self.peek().value == "+":
-            self.take()
-            term = Sum(term, self.mult(carrier))
-        self.depth -= 1
-        return term
-
-    def mult(self, carrier: Carrier) -> Term:
-        term = self.atom(carrier)
-        while self.peek().kind == "sym" and self.peek().value == "*":
-            self.take()
-            term = Prod(term, self.atom(carrier))
-        return term
-
-    def atom(self, carrier: Carrier) -> Term:
-        tok = self.take()
-        if tok.kind == "nat":
-            return _nat_term(tok.value)
-        if tok.kind == "name" and tok.value in _VAR_NAMES:
-            self.expect("[")
-            elem = self.payload(carrier, tok)
-            self.expect("]")
-            return Var(elem)
-        if tok.kind == "name" and tok.value in _APP_NAMES:
-            self.expect("(")
-            body = self.expr(carrier)
-            self.expect(")")
-            return App(body)
-        if tok.kind == "sym" and tok.value == "(":
-            term = self.expr(carrier)
-            self.expect(")")
-            return term
-        raise ParseError(f"expected an expression at line {tok.line}, column {tok.col}")
-
-    def payload(self, carrier: Carrier, at: _Token) -> MonoidElem:
-        if isinstance(carrier, MonomialBasis):
-            inner = self.expr(carrier.base)
-            return as_monoid_element(normalize(inner, carrier.base))
-        coords = []
-        if not (self.peek().kind == "sym" and self.peek().value == "]"):
-            while True:
-                tok = self.take()
-                if tok.kind != "nat":
-                    raise ParseError(
-                        f"expected a coordinate at line {tok.line}, column {tok.col}")
-                coords.append(tok.value)
-                if self.peek().kind == "sym" and self.peek().value == ",":
-                    self.take()
-                else:
-                    break
-        if len(coords) != carrier.rank:
-            raise ParseError(
-                f"variable at line {at.line}, column {at.col} has {len(coords)} "
-                f"coordinates but the carrier rank is {carrier.rank}")
-        return MonoidElem.from_dict(carrier, dict(enumerate(coords)))
-
-
 def parse(src: str, carrier: Carrier) -> Term:
     """Parse an expression over the given carrier."""
-    parser = _Parser(_tokenize(src))
-    term = parser.expr(carrier)
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input at line {tok.line}, column {tok.col}")
-    return term
+    tokens, offsets = _tokenize(src)
+
+    def expect(sym: str, i: int) -> int:
+        if tokens[i] != sym:
+            raise ParseError(f"expected {sym!r} at {_at(src, offsets[i])}")
+        return i + 1
+
+    stack: list = []  # per open group: closer, wrap, outer carrier, sum, product
+    total = prod = None  # the innermost open group's sum and product so far
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if isinstance(tok, int):
+            atom = _nat_term(tok)
+        elif tok in _VAR_NAMES and not isinstance(carrier, MonomialBasis):
+            name, i = i - 1, expect("[", i)
+            coords: list[int] = []
+            more = tokens[i] != "]"
+            while more:
+                if not isinstance(tokens[i], int):
+                    raise ParseError(f"expected a coordinate at {_at(src, offsets[i])}")
+                coords.append(tokens[i])
+                more = tokens[i + 1] == ","
+                i += 1 + more
+            if len(coords) != carrier.rank:
+                raise ParseError(
+                    f"variable at {_at(src, offsets[name])} has {len(coords)} "
+                    f"coordinates but the carrier rank is {carrier.rank}")
+            atom = Var(MonoidElem.from_dict(carrier, dict(enumerate(coords))))
+            i = expect("]", i)
+        else:
+            if tok == "(":
+                frame = (")", None, carrier)
+            elif tok in _APP_NAMES:
+                frame, i = (")", App, carrier), expect("(", i)
+            elif tok in _VAR_NAMES:
+                wrap = lambda term, base=carrier.base: \
+                    Var(as_monoid_element(normalize(term, base)))
+                frame, i, carrier = ("]", wrap, carrier), expect("[", i), carrier.base
+            else:
+                raise ParseError(f"expected an expression at {_at(src, offsets[i - 1])}")
+            if len(stack) >= MAX_NESTING:
+                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels "
+                                 f"at {_at(src, offsets[i - 1])}")
+            stack.append((*frame, total, prod))
+            total = prod = None
+            continue
+        # fold the atom in; each closer that follows ends a group, whose
+        # wrapped term is in turn the next atom of the group around it
+        while True:
+            prod = atom if prod is None else Prod(prod, atom)
+            if tokens[i] == "*":
+                break
+            total = prod if total is None else Sum(total, prod)
+            prod = None
+            if tokens[i] == "+":
+                break
+            if not stack:
+                if tokens[i] is not None:
+                    raise ParseError(f"trailing input at {_at(src, offsets[i])}")
+                return total
+            atom = total
+            closer, wrap, carrier, total, prod = stack.pop()
+            if wrap:
+                atom = wrap(atom)
+            i = expect(closer, i)
+        i += 1  # past the operator
 
 
 def _infer_carrier(term: Term) -> Carrier | None:

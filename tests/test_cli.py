@@ -86,6 +86,19 @@ class TestDerive:
         assert code == 2 and "error:" in err
 
 
+def timed_child_main(argv, stdin=""):
+    """(exit code, seconds, stderr) of ``main(argv)`` in a child, with
+    ``stdin`` as its standard input."""
+    script = ("import io, sys, time; from rigdiff.cli import main; "
+              f"sys.stdin = io.StringIO({stdin!r}); "
+              "start = time.perf_counter(); "
+              f"code = main({argv!r}); "
+              "print(code, time.perf_counter() - start)")
+    proc = child_run("-c", script)
+    code, elapsed = proc.stdout.split()
+    return code, float(elapsed), proc.stderr
+
+
 class TestMuAndEval:
     def test_mu_collapses(self, capsys):
         code, out, _ = run(capsys, "mu", "g(y[1])")
@@ -117,28 +130,37 @@ class TestMuAndEval:
         # run it in a child with capped memory and time.
         argv = ["eval", "--carrier", "0", "--phi", "", "--target", target,
                 tower(45, "f(", "2")]
-        script = ("import time; from rigdiff.cli import main; "
-                  "start = time.perf_counter(); "
-                  f"code = main({argv!r}); "
-                  "print(code, time.perf_counter() - start)")
-        proc = child_run("-c", script)
-        code, elapsed = proc.stdout.split()
-        assert code == "2" and float(elapsed) < 1
-        assert proc.stderr == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
+        code, elapsed, err = timed_child_main(argv)
+        assert code == "2" and elapsed < 1
+        assert err == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
 
     def test_eval_stops_before_a_large_product(self):
         # 3000 factors of a 4212-bit image make about 12.6 million bits:
         # far more work than any printable answer needs.
         argv = ["eval", "--phi", str(3 ** 2657), "--target", "identity",
                 "*".join(["x[1]"] * 3000)]
-        script = ("import time; from rigdiff.cli import main; "
-                  "start = time.perf_counter(); "
-                  f"code = main({argv!r}); "
-                  "print(code, time.perf_counter() - start)")
-        proc = child_run("-c", script)
-        code, elapsed = proc.stdout.split()
-        assert code == "2" and float(elapsed) < 5
-        assert proc.stderr == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
+        code, elapsed, err = timed_child_main(argv)
+        assert code == "2" and elapsed < 5
+        assert err == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
+
+    @pytest.mark.parametrize("expr, target, stdin", [
+        ("-", "identity", "*".join(["f(x[1])"] * 3000)),
+        ("f(x[1])", "*".join(["x[1]"] * 3000), ""),
+    ], ids=["power-of-an-f-atom", "large-target"])
+    def test_eval_stops_on_a_large_product_of_f_values(self, expr, target, stdin):
+        # The bound reads each factor's value where evaluate multiplies, so
+        # it covers f atoms, and a target expression evaluates through it.
+        argv = ["eval", "--phi", str(3 ** 2657), "--target", target, expr]
+        code, elapsed, err = timed_child_main(argv, stdin)
+        assert code == "2" and elapsed < 5
+        assert err == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
+
+    def test_eval_a_zero_factor_beats_a_large_product(self, capsys):
+        # 20 factors of 4212 bits pass the bound, but f(x[1]) is 0 here
+        expr = "*".join(["x[1]"] * 20) + "*f(x[1])"
+        code, out, _ = run(capsys, "eval", "--phi", str(3 ** 2657),
+                           "--target", "const-zero", expr)
+        assert code == 0 and out == "0\n"
 
     def test_eval_below_the_cap_stays_exact(self, capsys):
         code, out, _ = run(capsys, "eval", "--carrier", "0", "--phi", "",
@@ -199,6 +221,12 @@ class TestDistinctness:
         assert code == 0
         obj = json.loads(out)
         assert obj == {"pairs": [[0, 0], [2, 2], [5, 5]], "distinct": True}
+
+    def test_a_repeated_value_is_a_usage_error(self, capsys):
+        # no two members coincide, so this is bad input, not a failed law
+        code, out, err = run(capsys, "distinctness", "--n-values", "1,1")
+        assert code == 2 and out == ""
+        assert err == "error: --n-values repeats 1\n"
 
 
 class TestLongAndDeepInputs:

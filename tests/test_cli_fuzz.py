@@ -4,10 +4,13 @@ About a thousand grammar-directed expressions, some mutated (truncated, a
 slice duplicated, nested in up to ``MAX_NESTING + 10`` levels of ``f(``, a
 stray character inserted), go through ``normalize``, ``derive``, ``mu`` and
 ``eval`` in both formats and at both levels, plus a few ``laws`` and
-``distinctness`` flag values.  Each must exit 0 or 2 within a time bound and
-print no traceback, and the ``RecursionError`` fallback in ``cli.main`` must
-never fire.  The batch runs in a child process with capped memory and a
-wall-clock timeout, calling ``main`` in process for each input.
+``distinctness`` flag values.  ``FIXED_ROWS`` follow the seeded draws:
+``eval`` on products of large values and a repeated ``--n-values`` entry,
+which the draws (small ``--phi`` only) never reach.  Each input must exit 0
+or 2 within a time bound and print no traceback, and the ``RecursionError``
+fallback in ``cli.main`` must never fire.  The batch runs in a child process
+with capped memory and a wall-clock timeout, calling ``main`` in process for
+each input.
 
 Run the batch by hand (it prints a JSON summary)::
 
@@ -40,6 +43,16 @@ FLAG_RUNS = (
     ["distinctness", "--n-values", ""],
     ["distinctness", "--n-values", "3,1,4", "--format", "structured"],
     ["distinctness", "--n-values", "-1"],
+)
+# Appended after the draws, which they leave unchanged: a 4212-bit --phi
+# through 3000 factors of an f atom, through a 3000-factor target, and
+# through 20 factors beside a zero one; and a repeated family index.
+BIG_PHI = str(3 ** 2657)
+FIXED_ROWS = (
+    ["eval", "--target", "identity", "--phi", BIG_PHI, "*".join(["f(x[1])"] * 3000)],
+    ["eval", "--target", "*".join(["x[1]"] * 3000), "--phi", BIG_PHI, "f(x[1])"],
+    ["eval", "--target", "const-zero", "--phi", BIG_PHI, "x[1]*" * 20 + "f(x[1])"],
+    ["distinctness", "--n-values", "1,1"],
 )
 
 
@@ -109,7 +122,7 @@ def inputs(seed, count, max_nesting):
             argv += ["--target", target, "--phi", phi]
         argv += ["--format", rng.choice(("text", "structured"))]
         batch.append(argv + [text])
-    return batch + [list(argv) for argv in FLAG_RUNS]
+    return batch + [list(argv) for argv in FLAG_RUNS + FIXED_ROWS]
 
 
 class _Timeout(BaseException):
@@ -159,7 +172,7 @@ def test_every_input_exits_0_or_2_without_a_traceback():
     summary = json.loads(proc.stdout)
     assert summary["bad"] == []
     assert summary["recursion_errors"] == 0
-    assert summary["inputs"] == COUNT
+    assert summary["inputs"] == COUNT + len(FIXED_ROWS)
     # both outcomes are well represented, so the batch exercises answers
     # as well as errors
     assert min(summary["codes"].get("0", 0), summary["codes"].get("2", 0)) > COUNT // 5

@@ -11,8 +11,8 @@ from rigdiff.carrier import (
 )
 from rigdiff.gen import random_term_rng
 from rigdiff.modality import (
-    CATALOG, RigWithSelfMap, eta, evaluate, mu, nabla, nabla_at, nf_as_tensor,
-    rig_from_term, unit,
+    CATALOG, MAX_EVAL_BITS, RigWithSelfMap, eta, evaluate, mu, nabla, nabla_at,
+    nf_as_tensor, rig_from_term, unit,
 )
 from rigdiff.normal import (
     GenAtom, Monomial, NormalForm, ONE_MONOMIAL, as_monoid_element, normalize,
@@ -120,6 +120,17 @@ class TestEvaluate:
     def test_missing_generator_image(self):
         with pytest.raises(ValueError, match="no image"):
             evaluate(nf("x[1]"), CATALOG["identity"], {})
+
+    def test_products_and_map_results_are_bounded(self):
+        big = {0: 1 << 5000}
+        power = nf("*".join(["x[1]"] * 14))  # 70,001 bits
+        with pytest.raises(ValueError, match=f"value exceeds {MAX_EVAL_BITS} bits"):
+            evaluate(power, CATALOG["identity"], big)
+        with pytest.raises(ValueError, match=f"value exceeds {MAX_EVAL_BITS} bits"):
+            evaluate(nf("f(f(f(f(x[1]))))"), CATALOG["square"], big)
+        # a zero factor makes the monomial 0 whatever the size of the rest
+        assert evaluate(power * nf("f(x[1])"), CATALOG["const-zero"], big) == 0
+        assert evaluate(power, CATALOG["identity"], {0: 1 << 4000}) == 1 << 56000
 
     def test_catalog_contents(self):
         assert sorted(CATALOG) == ["const-one", "const-zero", "double",

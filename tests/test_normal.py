@@ -205,6 +205,15 @@ class TestStructuredExport:
                 wire = json.loads(json.dumps(nf_to_obj(a)))
                 assert nf_from_obj(carrier, wire) == a
 
+    @pytest.mark.parametrize("carrier, inner", [(N1, "x[1]"), (L2, "y[f(x[1])+1]")],
+                             ids=["level1", "level2"])
+    def test_deep_towers_read_back(self, carrier, inner):
+        # 2000 levels of the operation: far past the recursion limit
+        v = nf(inner, carrier)
+        for _ in range(2000):
+            v = nf_selfmap(v)
+        assert nf_from_obj(carrier, nf_to_obj(v)) == v
+
     def test_level2_generator_keys_nest(self):
         assert nf_to_obj(nf("y[x[2]]", L2)) == \
             [{"coeff": 2, "atoms": [{"gen": [{"gen": 0}]}]}]

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -13,7 +14,9 @@ from rigdiff.normal import (
     GenAtom, Monomial, NormalForm, as_monoid_element, normalize, render_nf,
 )
 from rigdiff.terms import App, Prod, Sum, Var, ONE, ZERO
-from rigdiff.text import ParseError, emit_nf, parse, print_term, render_tensor
+from rigdiff.text import (
+    MAX_NESTING, ParseError, emit_nf, parse, print_term, render_tensor,
+)
 
 N1 = FreeMonoid(1)
 N2 = FreeMonoid(2)
@@ -99,6 +102,29 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("", N1)
+
+    @pytest.mark.parametrize("src", ["x[²]", "f(²4)"])
+    def test_numeric_characters_int_cannot_read_are_rejected(self, src):
+        with pytest.raises(ParseError, match="unexpected character '²' at line 1, column 3"):
+            parse(src, N1)
+
+
+def test_nesting_adds_no_python_frame():
+    # The deepest accepted tower parses within 60 frames of the caller's
+    # depth, so parsing keeps its stack by hand, not in Python frames.
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        term = parse("f(" * MAX_NESTING + "x[1]" + ")" * MAX_NESTING, N1)
+    finally:
+        sys.setrecursionlimit(limit)
+    for _ in range(MAX_NESTING):
+        assert isinstance(term, App)
+        term = term.body
+    assert term == parse("x[1]", N1)
 
 
 PIECES = tuple("xyzfgh()[]+*,0123") + (" ", "\n", "x[1]", "y[", "f(", "12", "x[1,0]")
