@@ -1,5 +1,7 @@
 """The law registry, its reports, and the harness's own error detection."""
 
+import hashlib
+import random
 from dataclasses import fields
 
 import pytest
@@ -69,6 +71,41 @@ class TestRegistry:
         descriptions = [law.description for law in LAWS]
         assert all(descriptions)
         assert len(set(descriptions)) == len(descriptions)
+
+
+class TestFrozenDraws:
+    # sha256 over every case of every law at DRAW_CFG: the law name, the
+    # case seed, the verdict and every value the case drew, in order.
+    DRAW_CFG = SuiteConfig(cases=100, level3_cases=10)
+    DRAW_DIGEST = "057617f0b90bcbde6bb6b0ce4b2fb2af97a8b4457cf75ee3f80288d38b1a0e4b"
+
+    def test_draws_are_frozen(self, monkeypatch):
+        """The frozen report only sees verdicts; this sees every draw, so a
+        reordered or extra draw that still passes shows up here."""
+        drawn = []
+
+        class Recorder(random.Random):
+            def getrandbits(self, k):
+                value = super().getrandbits(k)
+                drawn.append(value)
+                return value
+
+            def random(self):
+                value = super().random()
+                drawn.append(value)
+                return value
+
+        # the laws and gen.equivalent_variant both resolve random.Random
+        # at call time, so walk draws are recorded too
+        monkeypatch.setattr(random, "Random", Recorder)
+        digest = hashlib.sha256()
+        for law in LAWS:
+            count = getattr(self.DRAW_CFG, law.count_attr)
+            for seed in _case_seeds(self.DRAW_CFG.seed, law.name, count):
+                drawn.clear()
+                verdict = replay_case(law.name, seed, self.DRAW_CFG)
+                digest.update(repr((law.name, seed, verdict, drawn)).encode())
+        assert digest.hexdigest() == self.DRAW_DIGEST
 
 
 class TestCleanRun:
