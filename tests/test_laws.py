@@ -6,14 +6,16 @@ from dataclasses import fields
 
 import pytest
 
-from rigdiff.carrier import tensor_scale
+from rigdiff.carrier import MonomialBasis, TensorElem, tensor_scale
 from rigdiff.derive import d_n
 from rigdiff.laws import (
     LAWS, LEVEL2_DEPTH, LEVEL3_DEPTH, MAX_COEFF, MAX_F_DEPTH, PAYLOAD_DEPTH,
     RANKS, SuiteConfig, _case_seeds, check_distinctness, check_laws, law_names,
     replay_case, run_law,
 )
-from rigdiff.normal import nf_scale, nf_selfmap
+from rigdiff.normal import (
+    ONE_MONOMIAL, ArgumentMemo, GenAtom, mono_mul, nf_scale, nf_selfmap,
+)
 
 EXPECTED_NAMES = (
     "rig_laws",
@@ -54,6 +56,56 @@ def shifted(a, n):
 def split(a, n):
     """Agrees with d_n at n = 0 and 1 only: level 2 weighs in n * n."""
     return d_n(a, n if a.carrier.level == 1 else n * n)
+
+
+def leibniz(weight=lambda arg, n: (ONE_MONOMIAL, n), exponents=True,
+            nested=True, rests=True):
+    """The Leibniz expansion of ``d_n`` with knobs that each break one part
+    of it; the defaults reproduce ``d_n``.  An operation atom multiplies its
+    argument's derivative by ``weight(argument, n)``, a (monomial,
+    coefficient) pair; ``exponents=False`` drops an atom's multiplicity,
+    ``nested=False`` derives operation atoms inside an argument to 0 and
+    ``rests=False`` drops the rest of the monomial."""
+    def expand(a, n, memo, apps):
+        acc = {}
+        for mono, c in a.items:
+            for atom, mult in mono.atom_counts():
+                rest = mono.without(atom) if rests else ONE_MONOMIAL
+                c_mult = c * mult if exponents else c
+                if isinstance(atom, GenAtom):
+                    key = (rest, atom.index)
+                    acc[key] = acc.get(key, 0) + c_mult
+                elif apps:
+                    w, k = weight(atom.argument, n)
+                    for (part, gen), c2 in memo[atom.argument].items:
+                        key = (mono_mul(mono_mul(rest, w), part), gen)
+                        acc[key] = acc.get(key, 0) + c_mult * k * c2
+        return TensorElem.from_dict((MonomialBasis(a.carrier), a.carrier), acc)
+
+    def derive(a, n):
+        return expand(a, n, ArgumentMemo(lambda v, memo: expand(v, n, memo, nested)),
+                      True)
+    return derive
+
+
+# Each mutant of d_n and the failures per law it causes at MUTANT_CFG.
+MUTANT_CFG = SuiteConfig(cases=100, level3_cases=5)
+MUTANTS = {
+    "weight is the number of monomials": (
+        leibniz(weight=lambda arg, n: (ONE_MONOMIAL, len(arg.items))),
+        {"chain_rule": 1, "naturality_derivative": 5, "distinctness": 100}),
+    "weight is the first monomial": (
+        leibniz(weight=lambda arg, n: (arg.items[0][0], 1) if arg.items
+                else (ONE_MONOMIAL, 0)),
+        {"interchange_rule": 5, "naturality_derivative": 7, "distinctness": 100}),
+    "forgotten exponent": (
+        leibniz(exponents=False),
+        {"product_rule": 13, "naturality_derivative": 2}),
+    "nested operation atoms derive to 0": (
+        leibniz(nested=False), {"chain_rule": 3}),
+    "lost rest monomial": (
+        leibniz(rests=False), {"product_rule": 35, "naturality_derivative": 5}),
+}
 
 
 DERIVATIVE_LAWS = (
@@ -195,6 +247,15 @@ class TestHarnessCatchesCorruption:
         result = run_law("selfmap_not_scalar", SuiteConfig(cases=50))
         assert len(result.failures) == 50
         assert f"operation equals {factor}*id" in result.failures[0].message
+
+    def test_the_identity_leibniz_loop_is_d_n(self):
+        assert check_laws(MUTANT_CFG, derive_fn=leibniz()).ok
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_each_mutant_fails_its_laws(self, mutant):
+        derive, expected = MUTANTS[mutant]
+        report = check_laws(MUTANT_CFG, derive_fn=derive)
+        assert {r.name: len(r.failures) for r in report.results if r.failures} == expected
 
     def test_failure_report_renders_seeds(self):
         report = check_laws(SuiteConfig(cases=4, level3_cases=2),
