@@ -3,6 +3,8 @@
 Each law draws its cases from seeds derived deterministically from the
 suite seed and the law name, so a report is reproducible bit for bit
 (timings aside) and every failure carries the case seed that replays it.
+A law is a draw, which returns a case's inputs, and a check on them;
+laws that need the same inputs share a draw.
 The derivative entry point is injectable so the harness can be shown to
 catch a deliberately broken implementation.
 
@@ -126,7 +128,7 @@ class LawReport:
         return "\n".join(lines)
 
 
-# --- case helpers ---------------------------------------------------------
+# --- draws: each returns a case's inputs as a tuple, drawn from ``rng``
 
 def _free(rng) -> FreeMonoid:
     return FreeMonoid(rng.choice(RANKS))
@@ -137,41 +139,100 @@ def _term(rng, cfg, carrier, f_depth=MAX_F_DEPTH):
                            PAYLOAD_DEPTH)
 
 
-def _nf(rng, cfg, carrier, **kw) -> NormalForm:
-    return normalize(_term(rng, cfg, carrier, **kw), carrier)
+def _nf(rng, cfg, carrier, f_depth=MAX_F_DEPTH) -> NormalForm:
+    return normalize(_term(rng, cfg, carrier, f_depth), carrier)
 
 
-def _level2_nf(rng, base) -> NormalForm:
-    carrier2 = MonomialBasis(base)
-    term = random_term_rng(rng, carrier2, LEVEL2_DEPTH, 1, MAX_COEFF,
-                           PAYLOAD_DEPTH)
-    return normalize(term, carrier2)
+def _values(k, f_depth=MAX_F_DEPTH):
+    """k values over one random base carrier."""
+    def draw(rng, cfg):
+        carrier = _free(rng)
+        return tuple(_nf(rng, cfg, carrier, f_depth) for _ in range(k))
+    return draw
 
 
-def _every_n(sides: Callable[[int], tuple]) -> Optional[int]:
-    """An n at which the two values ``sides(n)`` differ, or None when they
-    agree for every natural n (the module docstring gives the proof)."""
+def _elems(k):
+    """k carrier elements over one random base carrier."""
+    def draw(rng, cfg):
+        carrier = _free(rng)
+        return tuple(random_elem(rng, carrier, MAX_COEFF) for _ in range(k))
+    return draw
+
+
+def _level2_values(k):
+    """k level-2 values over one random base carrier."""
+    def draw(rng, cfg):
+        level2 = MonomialBasis(_free(rng))
+        return tuple(normalize(random_term_rng(rng, level2, LEVEL2_DEPTH, 1,
+                                               MAX_COEFF, PAYLOAD_DEPTH), level2)
+                     for _ in range(k))
+    return draw
+
+
+def _mapped_values(k):
+    """A random hom between base carriers, then k values over its domain."""
+    def draw(rng, cfg):
+        dom, cod = _free(rng), _free(rng)
+        return (random_hom(rng, dom, cod), *(_nf(rng, cfg, dom) for _ in range(k)))
+    return draw
+
+
+def _rewritten(rng, cfg):
+    """A term and the end of a seeded rewrite walk from it."""
+    carrier = _free(rng)
+    t = _term(rng, cfg, carrier)
+    steps, vseed = rng.randint(1, 6), rng.getrandbits(32)
+    return carrier, t, equivalent_variant(t, steps, vseed, carrier)
+
+
+def _every_n(sides: Callable[[int], tuple], failure: Callable[[int], str]) -> Optional[str]:
+    """None when the two values ``sides(n)`` agree for every natural n (the
+    module docstring gives the proof), else ``failure(n)`` at an n where
+    they differ."""
     lhs, rhs = sides(1)
     if lhs != rhs:
-        return 1
+        return failure(1)
     if lhs.is_zero():  # natural coefficients that sum to 0 are all 0
         return None
     big = 1 + max(c for _, c in lhs.items)
     lhs, rhs = sides(big)
-    return None if lhs == rhs else big
+    return None if lhs == rhs else failure(big)
 
 
 def _prod2(x: NormalForm, y: NormalForm) -> NormalForm:
     return nabla(tensor_pure([as_monoid_element(x), as_monoid_element(y)]))
 
 
-# --- law runners: d_n is the derivative under test; each returns None on
-# --- success and a message on failure
+# --- the laws: each check takes the derivative under test and a draw's
+# --- inputs, and returns None on success and a message on failure
 
-def _run_rig_laws(rng, cfg, d_n):
-    carrier = _free(rng)
-    a, b, c = (_nf(rng, cfg, carrier) for _ in range(3))
-    zero, one = NormalForm.zero(carrier), NormalForm.one(carrier)
+@dataclass(frozen=True)
+class Law:
+    """A case is ``check(d_n, *draw(rng, cfg))``; ``count_attr`` names the
+    config field that sets the number of cases."""
+
+    name: str
+    description: str
+    draw: Callable
+    check: Callable
+    count_attr: str = "cases"
+
+
+_LAWS_BY_NAME: dict[str, Law] = {}
+
+
+def _law(description: str, draw: Callable, count_attr: str = "cases"):
+    """Register the decorated check as the law named after it."""
+    def register(check):
+        _LAWS_BY_NAME[check.__name__] = Law(check.__name__, description, draw,
+                                            check, count_attr)
+        return check
+    return register
+
+
+@_law("canonical forms satisfy the commutative rig identities", _values(3))
+def rig_laws(d_n, a, b, c):
+    zero, one = NormalForm.zero(a.carrier), NormalForm.one(a.carrier)
     checks = (
         ("addition commutes", nf_add(a, b) == nf_add(b, a)),
         ("addition associates", nf_add(nf_add(a, b), c) == nf_add(a, nf_add(b, c))),
@@ -188,10 +249,15 @@ def _run_rig_laws(rng, cfg, d_n):
     return None
 
 
-def _run_normalize_homomorphism(rng, cfg, d_n):
+def _two_terms_and_elem(rng, cfg):
     carrier = _free(rng)
-    t1, t2 = _term(rng, cfg, carrier), _term(rng, cfg, carrier)
-    e = random_elem(rng, carrier, MAX_COEFF)
+    return (carrier, _term(rng, cfg, carrier), _term(rng, cfg, carrier),
+            random_elem(rng, carrier, MAX_COEFF))
+
+
+@_law("normalization sends each constructor to the matching canonical operation",
+      _two_terms_and_elem)
+def normalize_homomorphism(d_n, carrier, t1, t2, e):
     n1, n2 = normalize(t1, carrier), normalize(t2, carrier)
     if normalize(Sum(t1, t2), carrier) != nf_add(n1, n2):
         return f"sum case failed for {print_term(t1, carrier)} and {print_term(t2, carrier)}"
@@ -206,56 +272,55 @@ def _run_normalize_homomorphism(rng, cfg, d_n):
     return None
 
 
-def _run_rewrite_invariance_normalize(rng, cfg, d_n):
-    carrier = _free(rng)
-    t = _term(rng, cfg, carrier)
-    steps, vseed = rng.randint(1, 6), rng.getrandbits(32)
-    v = equivalent_variant(t, steps, vseed, carrier)
+@_law("normalization is invariant under the generating rewrites", _rewritten)
+def rewrite_invariance_normalize(d_n, carrier, t, v):
     if normalize(t, carrier) != normalize(v, carrier):
         return (f"normalization changed under rewrites: {print_term(t, carrier)}"
                 f" became {print_term(v, carrier)}")
     return None
 
 
-def _run_rewrite_invariance_derivative(rng, cfg, d_n):
-    carrier = _free(rng)
-    t = _term(rng, cfg, carrier)
-    steps, vseed = rng.randint(1, 6), rng.getrandbits(32)
-    v = equivalent_variant(t, steps, vseed, carrier)
+@_law("derivatives only depend on the value a term denotes", _rewritten)
+def rewrite_invariance_derivative(d_n, carrier, t, v):
     a, b = normalize(t, carrier), normalize(v, carrier)
-    n = _every_n(lambda n: (d_n(a, n), d_n(b, n)))
-    if n is not None:
-        return (f"derivative changed under rewrites (n={n}):"
-                f" {print_term(t, carrier)} became {print_term(v, carrier)}")
-    return None
+    return _every_n(lambda n: (d_n(a, n), d_n(b, n)),
+                    lambda n: f"derivative changed under rewrites (n={n}):"
+                              f" {print_term(t, carrier)} became {print_term(v, carrier)}")
 
 
-def _run_functor_on_terms(rng, cfg, d_n):
+def _hom_and_term(rng, cfg):
     dom, cod = _free(rng), _free(rng)
-    h = random_hom(rng, dom, cod)
-    t = _term(rng, cfg, dom)
-    if normalize(term_map_hom(h, t), cod) != apply_functor(h, normalize(t, dom)):
-        return f"term mapping disagrees with induced map on {print_term(t, dom)}"
+    return random_hom(rng, dom, cod), _term(rng, cfg, dom)
+
+
+@_law("renaming variables then normalizing equals normalizing then mapping",
+      _hom_and_term)
+def functor_on_terms(d_n, h, t):
+    if normalize(term_map_hom(h, t), h.codomain) != apply_functor(h, normalize(t, h.domain)):
+        return f"term mapping disagrees with induced map on {print_term(t, h.domain)}"
     return None
 
 
-def _run_functor_composition(rng, cfg, d_n):
+def _composable(rng, cfg):
     first, mid, last = (_free(rng) for _ in range(3))
-    h, k = random_hom(rng, first, mid), random_hom(rng, mid, last)
-    a = _nf(rng, cfg, first)
-    if apply_functor(MonoidHom.identity(first), a) != a:
+    return random_hom(rng, first, mid), random_hom(rng, mid, last), _nf(rng, cfg, first)
+
+
+@_law("induced rig maps respect identities and composition", _composable)
+def functor_composition(d_n, h, k, a):
+    if apply_functor(MonoidHom.identity(a.carrier), a) != a:
         return f"identity map moved {a}"
     if apply_functor(k.compose(h), a) != apply_functor(k, apply_functor(h, a)):
         return f"composite map disagrees on {a}"
     return None
 
 
-def _run_selfmap_not_scalar(rng, cfg, d_n):
-    carrier = _free(rng)
+@_law("the unary operation is not multiplication by any fixed natural", _values(1))
+def selfmap_not_scalar(d_n, a):
     witnesses = (
-        ("zero", NormalForm.zero(carrier)),
-        ("the first variable", nf_var(MonoidElem.generator(carrier, 0))),
-        ("a random value", _nf(rng, cfg, carrier)),
+        ("zero", NormalForm.zero(a.carrier)),
+        ("the first variable", nf_var(MonoidElem.generator(a.carrier, 0))),
+        ("a random value", a),
     )
     for label, v in witnesses:
         image = nf_selfmap(v)
@@ -266,38 +331,39 @@ def _run_selfmap_not_scalar(rng, cfg, d_n):
     return None
 
 
-def _run_unit_additive(rng, cfg, d_n):
-    carrier = _free(rng)
-    e1 = random_elem(rng, carrier, MAX_COEFF)
-    e2 = random_elem(rng, carrier, MAX_COEFF)
+@_law("the variable embedding is additive", _elems(2))
+def unit_additive(d_n, e1, e2):
     if unit(elem_add(e1, e2)) != nf_add(unit(e1), unit(e2)):
         return f"unit not additive on {e1.items!r} and {e2.items!r}"
-    if not unit(MonoidElem.zero(carrier)).is_zero():
+    if not unit(MonoidElem.zero(e1.carrier)).is_zero():
         return "unit of zero is not zero"
     return None
 
 
-def _run_monad_unit(rng, cfg, d_n):
-    carrier = _free(rng)
-    a = _nf(rng, cfg, carrier)
+@_law("collapsing after either unit insertion is the identity", _values(1))
+def monad_unit(d_n, a):
     if mu(unit(as_monoid_element(a))) != a:
         return f"collapse after outer unit moved {a}"
-    level2 = MonomialBasis(carrier)
-    h_u = MonoidHom(carrier, level2,
+    level2 = MonomialBasis(a.carrier)
+    h_u = MonoidHom(a.carrier, level2,
                     lambda i: MonoidElem.generator(level2, Monomial((GenAtom(i),))))
     if mu(apply_functor(h_u, a)) != a:
         return f"collapse after mapped unit moved {a}"
     return None
 
 
-def _run_monad_associativity(rng, cfg, d_n):
-    carrier = _free(rng)
-    level2 = MonomialBasis(carrier)
-    level3 = MonomialBasis(level2)
-    a3 = normalize(random_term_rng(rng, level3, LEVEL3_DEPTH, 1, 2,
-                                   PAYLOAD_DEPTH), level3)
+def _level3_value(rng, cfg):
+    level3 = MonomialBasis(MonomialBasis(_free(rng)))
+    term = random_term_rng(rng, level3, LEVEL3_DEPTH, 1, 2, PAYLOAD_DEPTH)
+    return (normalize(term, level3),)
+
+
+@_law("both collapse orders from level 3 agree", _level3_value,
+      count_attr="level3_cases")
+def monad_associativity(d_n, a3):
+    level2 = a3.carrier.base
     lhs = mu(mu(a3))
-    h_m = MonoidHom(level3, level2,
+    h_m = MonoidHom(a3.carrier, level2,
                     lambda nu: as_monoid_element(mu(nf_from_monomial(level2, nu))))
     rhs = mu(apply_functor(h_m, a3))
     if lhs != rhs:
@@ -305,9 +371,8 @@ def _run_monad_associativity(rng, cfg, d_n):
     return None
 
 
-def _run_modality_square(rng, cfg, d_n):
-    carrier = _free(rng)
-    u2, v2 = _level2_nf(rng, carrier), _level2_nf(rng, carrier)
+@_law("collapse commutes with multiplication across levels", _level2_values(2))
+def modality_square(d_n, u2, v2):
     lhs = mu(_prod2(u2, v2))
     rhs = _prod2(mu(u2), mu(v2))
     if lhs != rhs:
@@ -315,12 +380,11 @@ def _run_modality_square(rng, cfg, d_n):
     return None
 
 
-def _run_monoid_structure(rng, cfg, d_n):
-    carrier = _free(rng)
-    a, b, c = (_nf(rng, cfg, carrier) for _ in range(3))
+@_law("multiplication and one form a commutative monoid through tensors", _values(3))
+def monoid_structure(d_n, a, b, c):
     if _prod2(_prod2(a, b), c) != _prod2(a, _prod2(b, c)):
         return f"tensor multiplication not associative on a={a}, b={b}, c={c}"
-    if _prod2(a, eta(carrier, 1)) != a:
+    if _prod2(a, eta(a.carrier, 1)) != a:
         return f"tensor unit failed on {a}"
     pair = tensor_pure([as_monoid_element(a), as_monoid_element(b)])
     if nabla(tensor_permute(pair, (1, 0))) != nabla(pair):
@@ -328,12 +392,10 @@ def _run_monoid_structure(rng, cfg, d_n):
     return None
 
 
-def _run_naturality_monoid_structure(rng, cfg, d_n):
-    dom, cod = _free(rng), _free(rng)
-    h = random_hom(rng, dom, cod)
-    a, b = _nf(rng, cfg, dom), _nf(rng, cfg, dom)
-    k = rng.randint(0, 5)
-    if apply_functor(h, eta(dom, k)) != eta(cod, k):
+@_law("induced maps preserve constants and multiplication",
+      lambda rng, cfg: (*_mapped_values(2)(rng, cfg), rng.randint(0, 5)))
+def naturality_monoid_structure(d_n, h, a, b, k):
+    if apply_functor(h, eta(h.domain, k)) != eta(h.codomain, k):
         return f"induced map moved the constant {k}"
     lhs = apply_functor(h, _prod2(a, b))
     rhs = _prod2(apply_functor(h, a), apply_functor(h, b))
@@ -342,21 +404,23 @@ def _run_naturality_monoid_structure(rng, cfg, d_n):
     return None
 
 
-def _run_evaluation_homomorphism(rng, cfg, d_n):
-    carrier = _free(rng)
-    a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
+def _evaluation_case(rng, cfg):
+    a, b = _values(2)(rng, cfg)
     rig = CATALOG[rng.choice(sorted(CATALOG))]
-    phi = {i: rng.randint(0, 4) for i in range(carrier.rank)}
-    e = random_elem(rng, carrier, MAX_COEFF)
+    phi = {i: rng.randint(0, 4) for i in range(a.carrier.rank)}
+    return a, b, rig, phi, random_elem(rng, a.carrier, MAX_COEFF)
 
+
+@_law("evaluation preserves the rig operations and the unary map", _evaluation_case)
+def evaluation_homomorphism(d_n, a, b, rig, phi, e):
     def ev(x):
         return evaluate(x, rig, phi)
 
     checks = (
         ("sum", ev(nf_add(a, b)) == ev(a) + ev(b)),
         ("product", ev(nf_mul(a, b)) == ev(a) * ev(b)),
-        ("one", ev(NormalForm.one(carrier)) == 1),
-        ("zero", ev(NormalForm.zero(carrier)) == 0),
+        ("one", ev(NormalForm.one(a.carrier)) == 1),
+        ("zero", ev(NormalForm.zero(a.carrier)) == 0),
         ("operation", ev(nf_selfmap(a)) == rig.selfmap(ev(a))),
         ("variable", ev(unit(e)) == sum(c * phi[k] for k, c in e.items)),
     )
@@ -366,9 +430,8 @@ def _run_evaluation_homomorphism(rng, cfg, d_n):
     return None
 
 
-def _run_product_rule(rng, cfg, d_n):
-    carrier = _free(rng)
-    a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
+@_law("the derivative of a product is the sum of its two Leibniz terms", _values(2))
+def product_rule(d_n, a, b):
     ab, a_t, b_t = nf_mul(a, b), nf_as_tensor(a), nf_as_tensor(b)
 
     def sides(n):
@@ -377,26 +440,21 @@ def _run_product_rule(rng, cfg, d_n):
             tensor_permute(tensor_concat(d_n(a, n), b_t), (0, 2, 1)), 0)
         return d_n(ab, n), tensor_add(left_term, right_term)
 
-    n = _every_n(sides)
-    if n is not None:
-        return f"product rule failed for a={a}, b={b}, n={n}"
-    return None
+    return _every_n(sides, lambda n: f"product rule failed for a={a}, b={b}, n={n}")
 
 
-def _run_linear_rule(rng, cfg, d_n):
-    carrier = _free(rng)
-    e = random_elem(rng, carrier, MAX_COEFF)
-    one_elem = MonoidElem.generator(MonomialBasis(carrier), ONE_MONOMIAL)
-    n = _every_n(lambda n: (d_n(unit(e), n), tensor_pure([one_elem, e])))
-    if n is not None:
-        return f"linear rule failed for element {e.items!r}, n={n}"
-    return None
+@_law("the derivative of a variable is one tensor its index", _elems(1))
+def linear_rule(d_n, e):
+    one_elem = MonoidElem.generator(MonomialBasis(e.carrier), ONE_MONOMIAL)
+    return _every_n(lambda n: (d_n(unit(e), n), tensor_pure([one_elem, e])),
+                    lambda n: f"linear rule failed for element {e.items!r}, n={n}")
 
 
-def _run_chain_rule(rng, cfg, d_n):
-    carrier = _free(rng)
-    level2 = MonomialBasis(carrier)
-    a2 = _level2_nf(rng, carrier)
+@_law("the derivative of a collapse factors through the level-2 derivative",
+      _level2_values(1))
+def chain_rule(d_n, a2):
+    level2 = a2.carrier
+    carrier = level2.base
     collapsed = mu(a2)
 
     def sides(n):
@@ -406,15 +464,12 @@ def _run_chain_rule(rng, cfg, d_n):
         ]
         return d_n(collapsed, n), nabla_at(tensor_bimap(d_n(a2, n), maps), 0)
 
-    n = _every_n(sides)
-    if n is not None:
-        return f"chain rule failed for {a2}, n={n}"
-    return None
+    return _every_n(sides, lambda n: f"chain rule failed for {a2}, n={n}")
 
 
-def _run_interchange_rule(rng, cfg, d_n):
-    carrier = _free(rng)
-    a = _nf(rng, cfg, carrier)
+@_law("iterated derivatives agree up to swapping the two element factors", _values(1))
+def interchange_rule(d_n, a):
+    carrier = a.carrier
     level2 = MonomialBasis(carrier)
 
     def sides(n):
@@ -425,51 +480,42 @@ def _run_interchange_rule(rng, cfg, d_n):
         lifted = tensor_bimap(d_n(a, n), maps)
         return lifted, tensor_permute(lifted, (0, 2, 1))
 
-    n = _every_n(sides)
-    if n is not None:
-        return f"interchange rule failed for {a}, n={n}"
-    return None
+    return _every_n(sides, lambda n: f"interchange rule failed for {a}, n={n}")
 
 
-def _run_naturality_derivative(rng, cfg, d_n):
-    dom, cod = _free(rng), _free(rng)
-    h = random_hom(rng, dom, cod)
-    a = _nf(rng, cfg, dom)
-    cod2 = MonomialBasis(cod)
+@_law("derivatives commute with induced maps", _mapped_values(1))
+def naturality_derivative(d_n, h, a):
     maps = [
-        (lambda mo: as_monoid_element(apply_functor(h, nf_from_monomial(dom, mo))),
-         (cod2,)),
-        (lambda i: h.image_of(i), (cod,)),
+        (lambda mo: as_monoid_element(apply_functor(h, nf_from_monomial(h.domain, mo))),
+         (MonomialBasis(h.codomain),)),
+        (lambda i: h.image_of(i), (h.codomain,)),
     ]
     mapped = apply_functor(h, a)
-    n = _every_n(lambda n: (tensor_bimap(d_n(a, n), maps), d_n(mapped, n)))
-    if n is not None:
-        return f"derivative not natural on {a}, n={n}"
-    return None
+    return _every_n(lambda n: (tensor_bimap(d_n(a, n), maps), d_n(mapped, n)),
+                    lambda n: f"derivative not natural on {a}, n={n}")
 
 
-def _run_derivative_additive(rng, cfg, d_n):
-    carrier = _free(rng)
-    a, b = _nf(rng, cfg, carrier), _nf(rng, cfg, carrier)
-    n = _every_n(lambda n: (d_n(nf_add(a, b), n), tensor_add(d_n(a, n), d_n(b, n))))
-    if n is not None:
-        return f"derivative not additive on a={a}, b={b}, n={n}"
+@_law("every derivative is additive and sends zero to zero", _values(2))
+def derivative_additive(d_n, a, b):
+    failure = _every_n(lambda n: (d_n(nf_add(a, b), n), tensor_add(d_n(a, n), d_n(b, n))),
+                       lambda n: f"derivative not additive on a={a}, b={b}, n={n}")
     # natural coefficients that sum to 0 are all 0
-    if not d_n(NormalForm.zero(carrier), 1).is_zero():
+    if failure is None and not d_n(NormalForm.zero(a.carrier), 1).is_zero():
         return "derivative of zero is not zero"
-    return None
+    return failure
 
 
-def _run_n_independence(rng, cfg, d_n):
-    carrier = _free(rng)
-    a = _nf(rng, cfg, carrier, f_depth=0)
+@_law("all family members agree on operation-free values", _values(1, f_depth=0))
+def n_independence(d_n, a):
     # P(1) = P(2) with natural coefficients forces P to be constant
     if d_n(a, 1) != d_n(a, 2):
         return f"operation-free value {a} separated n=1 from n=2"
     return None
 
 
-def _run_distinctness(rng, cfg, d_n):
+@_law("family member n evaluates the operation witness to n, so members differ",
+      lambda rng, cfg: ())
+def distinctness(d_n):
     try:
         # P(1) = 1 and P(2) = 2 with natural coefficients force P(n) = n
         pairs = check_distinctness((1, 2), derive_fn=d_n)
@@ -481,77 +527,7 @@ def _run_distinctness(rng, cfg, d_n):
     return None
 
 
-@dataclass(frozen=True)
-class Law:
-    name: str
-    description: str
-    run: Callable
-    count_attr: str = "cases"
-
-
-LAWS: tuple[Law, ...] = (
-    Law("rig_laws",
-        "canonical forms satisfy the commutative rig identities", _run_rig_laws),
-    Law("normalize_homomorphism",
-        "normalization sends each constructor to the matching canonical operation",
-        _run_normalize_homomorphism),
-    Law("rewrite_invariance_normalize",
-        "normalization is invariant under the generating rewrites",
-        _run_rewrite_invariance_normalize),
-    Law("rewrite_invariance_derivative",
-        "derivatives only depend on the value a term denotes",
-        _run_rewrite_invariance_derivative),
-    Law("functor_on_terms",
-        "renaming variables then normalizing equals normalizing then mapping",
-        _run_functor_on_terms),
-    Law("functor_composition",
-        "induced rig maps respect identities and composition",
-        _run_functor_composition),
-    Law("selfmap_not_scalar",
-        "the unary operation is not multiplication by any fixed natural",
-        _run_selfmap_not_scalar),
-    Law("unit_additive",
-        "the variable embedding is additive", _run_unit_additive),
-    Law("monad_unit",
-        "collapsing after either unit insertion is the identity", _run_monad_unit),
-    Law("monad_associativity",
-        "both collapse orders from level 3 agree", _run_monad_associativity,
-        count_attr="level3_cases"),
-    Law("modality_square",
-        "collapse commutes with multiplication across levels", _run_modality_square),
-    Law("monoid_structure",
-        "multiplication and one form a commutative monoid through tensors",
-        _run_monoid_structure),
-    Law("naturality_monoid_structure",
-        "induced maps preserve constants and multiplication",
-        _run_naturality_monoid_structure),
-    Law("evaluation_homomorphism",
-        "evaluation preserves the rig operations and the unary map",
-        _run_evaluation_homomorphism),
-    Law("product_rule",
-        "the derivative of a product is the sum of its two Leibniz terms",
-        _run_product_rule),
-    Law("linear_rule",
-        "the derivative of a variable is one tensor its index", _run_linear_rule),
-    Law("chain_rule",
-        "the derivative of a collapse factors through the level-2 derivative",
-        _run_chain_rule),
-    Law("interchange_rule",
-        "iterated derivatives agree up to swapping the two element factors",
-        _run_interchange_rule),
-    Law("naturality_derivative",
-        "derivatives commute with induced maps", _run_naturality_derivative),
-    Law("derivative_additive",
-        "every derivative is additive and sends zero to zero",
-        _run_derivative_additive),
-    Law("n_independence",
-        "all family members agree on operation-free values", _run_n_independence),
-    Law("distinctness",
-        "family member n evaluates the operation witness to n, so members differ",
-        _run_distinctness),
-)
-
-_LAWS_BY_NAME = {law.name: law for law in LAWS}
+LAWS: tuple[Law, ...] = tuple(_LAWS_BY_NAME.values())
 
 
 def law_names() -> tuple[str, ...]:
@@ -564,6 +540,10 @@ def _case_seeds(suite_seed: int, law_name: str, count: int) -> list[int]:
     return [rng.getrandbits(64) for _ in range(count)]
 
 
+def _case(law: Law, case_seed: int, cfg: SuiteConfig, d) -> Optional[str]:
+    return law.check(d, *law.draw(random.Random(case_seed), cfg))
+
+
 def run_law(name: str, cfg: SuiteConfig, derive_fn=None) -> LawResult:
     """Run one law at the scale the config gives it."""
     law = _LAWS_BY_NAME[name]
@@ -572,7 +552,7 @@ def run_law(name: str, cfg: SuiteConfig, derive_fn=None) -> LawResult:
     failures = []
     started = time.perf_counter()
     for case_seed in _case_seeds(cfg.seed, law.name, count):
-        message = law.run(random.Random(case_seed), cfg, derive_fn)
+        message = _case(law, case_seed, cfg, derive_fn)
         if message is not None:
             failures.append(Failure(law.name, case_seed, message))
     seconds = time.perf_counter() - started
@@ -582,8 +562,7 @@ def run_law(name: str, cfg: SuiteConfig, derive_fn=None) -> LawResult:
 def replay_case(name: str, case_seed: int, cfg: SuiteConfig,
                 derive_fn=None) -> Optional[str]:
     """Re-run one recorded case; returns the failure message or None."""
-    law = _LAWS_BY_NAME[name]
-    return law.run(random.Random(case_seed), cfg, derive_fn or default_d_n)
+    return _case(_LAWS_BY_NAME[name], case_seed, cfg, derive_fn or default_d_n)
 
 
 def check_laws(cfg: SuiteConfig = SuiteConfig(), derive_fn=None) -> LawReport:
