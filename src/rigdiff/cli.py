@@ -123,8 +123,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    if args.cases < 0 or args.depth < 0:
-        raise ValueError("--cases and --depth must be naturals")
     cfg = SuiteConfig(seed=args.seed, cases=args.cases, max_depth=args.depth)
     report = check_laws(cfg)
     if args.format == "structured":

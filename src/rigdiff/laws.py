@@ -66,6 +66,10 @@ class SuiteConfig:
     max_depth: int = 4
     level3_cases: int = 50
 
+    def __post_init__(self):
+        if min(self.cases, self.max_depth, self.level3_cases) < 0:
+            raise ValueError("cases, max_depth and level3_cases must be naturals")
+
 
 @dataclass(frozen=True)
 class Failure:

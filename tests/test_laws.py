@@ -284,3 +284,11 @@ class TestConfig:
         assert (cfg.seed, cfg.cases, cfg.max_depth, cfg.level3_cases) == (0, 1000, 4, 50)
         assert (RANKS, MAX_F_DEPTH, MAX_COEFF) == ((1, 2), 2, 5)
         assert (LEVEL2_DEPTH, PAYLOAD_DEPTH, LEVEL3_DEPTH) == (3, 2, 2)
+
+    @pytest.mark.parametrize("field", ["cases", "max_depth", "level3_cases"])
+    def test_negative_counts_are_rejected(self, field):
+        with pytest.raises(ValueError, match="must be naturals"):
+            SuiteConfig(**{field: -1})
+
+    def test_a_negative_seed_is_a_seed(self):
+        assert check_laws(SuiteConfig(seed=-1, cases=1, level3_cases=1)).ok
