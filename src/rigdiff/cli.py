@@ -63,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("laws", help="run the randomized law suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=1000)
+    p.add_argument("--cases", type=int, default=1000,
+                   help="cases per law; monad_associativity always runs %d"
+                        % SuiteConfig.level3_cases)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
