@@ -15,7 +15,8 @@ from rigdiff.modality import (
     nf_as_tensor, rig_from_term, unit,
 )
 from rigdiff.normal import (
-    GenAtom, Monomial, NormalForm, ONE_MONOMIAL, as_monoid_element, normalize,
+    GenAtom, Monomial, NormalForm, ONE_MONOMIAL, as_monoid_element, nf_add,
+    nf_mul, nf_selfmap, normalize,
 )
 from rigdiff.text import parse
 
@@ -60,6 +61,19 @@ class TestNabla:
             nabla(TensorElem.zero((N1, N1)))
         with pytest.raises(CarrierMismatch):
             nabla(TensorElem.zero((L2, MonomialBasis(N2))))
+
+    @pytest.mark.parametrize("carrier", [N2, L2], ids=["level1", "level2"])
+    def test_is_the_rig_product_on_drawn_values(self, carrier):
+        rng = random.Random(17)
+
+        def draw():  # (1 + x) * f(y) + z, so it always has an f atom
+            x, y, z = (normalize(random_term_rng(rng, carrier, 3, 1, 3), carrier)
+                       for _ in range(3))
+            return nf_add(nf_mul(nf_add(NormalForm.one(carrier), x), nf_selfmap(y)), z)
+
+        for _ in range(100):
+            a, b = draw(), draw()
+            assert nabla(tensor_pure([m(a), m(b)])) == nf_mul(a, b)
 
     def test_nabla_at_contracts_adjacent_factors(self):
         three = tensor_concat(
