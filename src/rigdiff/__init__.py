@@ -18,7 +18,7 @@ from .terms import (
     ONE, ZERO, positions, rewrite_step, term_map_hom,
 )
 from .normal import (
-    AppAtom, Atom, GenAtom, Monomial, NormalForm, ONE_MONOMIAL, SelfMapDisabled,
+    AppAtom, Atom, GenAtom, Monomial, NormalForm, ONE_MONOMIAL,
     apply_functor, as_monoid_element, from_monoid_element, mono_mul, nf_add,
     nf_from_monomial, nf_from_obj, nf_mul, nf_scale, nf_selfmap, nf_to_obj,
     nf_var, normalize, render_nf, tensor_to_obj,

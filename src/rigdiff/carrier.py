@@ -30,15 +30,9 @@ def basis_sort_key(key: Any):
 
 @dataclass(frozen=True)
 class FreeMonoid:
-    """Vectors of naturals of a fixed finite rank, under componentwise sum.
-
-    ``selfmap_enabled`` controls whether the rig built over this carrier
-    admits the formal unary operation ``f``; disabling it restricts the
-    construction to plain polynomials (symmetric-algebra mode).
-    """
+    """Vectors of naturals of a fixed finite rank, under componentwise sum."""
 
     rank: int
-    selfmap_enabled: bool = True
 
     @property
     def level(self) -> int:
@@ -49,8 +43,7 @@ class FreeMonoid:
             raise CarrierMismatch(f"{key!r} is not a generator index of {self}")
 
     def __str__(self) -> str:
-        tail = "" if self.selfmap_enabled else ", no self-map"
-        return f"FreeMonoid(rank={self.rank}{tail})"
+        return f"FreeMonoid(rank={self.rank})"
 
 
 @dataclass(frozen=True)
@@ -63,10 +56,6 @@ class MonomialBasis:
     """
 
     base: "Carrier"
-
-    @property
-    def selfmap_enabled(self) -> bool:
-        return True
 
     @property
     def level(self) -> int:

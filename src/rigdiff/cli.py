@@ -16,12 +16,12 @@ import os
 import sys
 from collections import Counter
 
-from .carrier import CarrierMismatch, FreeMonoid, MonomialBasis
+from .carrier import FreeMonoid, MonomialBasis
 from .derive import d_n
 from .laws import SuiteConfig, check_distinctness, check_laws
 from .modality import CATALOG, MAX_EVAL_BITS, evaluate, mu, rig_from_term
-from .normal import SelfMapDisabled, nf_to_obj, normalize, render_nf, tensor_to_obj
-from .text import ParseError, parse, render_tensor
+from .normal import nf_to_obj, normalize, render_nf, tensor_to_obj
+from .text import parse, render_tensor
 
 
 def _base_flags(sub, levels: bool = True) -> None:
@@ -178,8 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         # without a traceback, as the SIGPIPE note in Python's docs does.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, CarrierMismatch, SelfMapDisabled, ValueError,
-            RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

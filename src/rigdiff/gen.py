@@ -36,7 +36,7 @@ def random_term_rng(rng: random.Random, carrier: Carrier, max_depth: int,
     choices = ["zero", "one", "var"]
     if max_depth > 0:
         choices += ["sum", "prod"]
-        if max_f_depth > 0 and carrier.selfmap_enabled:
+        if max_f_depth > 0:
             choices.append("app")
     kind = rng.choice(choices)
     if kind == "zero":

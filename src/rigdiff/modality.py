@@ -19,8 +19,8 @@ from .carrier import (
     elem_as_tensor,
 )
 from .normal import (
-    ArgumentMemo, GenAtom, Monomial, NormalForm, as_monoid_element,
-    extend_generators, mono_mul, nf_scale, nf_var, normalize,
+    ArgumentMemo, GenAtom, NormalForm, as_monoid_element, extend_generators,
+    mono_mul, nf_scale, nf_var, normalize,
 )
 from .terms import Term
 
@@ -41,16 +41,12 @@ def nf_as_tensor(a: NormalForm) -> TensorElem:
 
 
 def nabla(t: TensorElem) -> NormalForm:
-    """Multiplication as a map out of the two-factor tensor."""
-    if len(t.factors) != 2 or t.factors[0] != t.factors[1] \
-            or not isinstance(t.factors[0], MonomialBasis):
+    """Multiplication as a map out of the two-factor tensor: ``nabla_at`` at
+    0, whose one-factor keys ``(m,)`` sort as their monomials ``m`` do."""
+    if len(t.factors) != 2:
         raise CarrierMismatch("nabla needs two equal monomial-basis factors")
-    base = t.factors[0].base
-    acc: dict[Monomial, int] = {}
-    for (m1, m2), c in t.items:
-        m = mono_mul(m1, m2)
-        acc[m] = acc.get(m, 0) + c
-    return NormalForm.from_dict(base, acc)
+    merged = nabla_at(t, 0)
+    return NormalForm(t.factors[0].base, tuple((m, c) for (m,), c in merged.items))
 
 
 def nabla_at(t: TensorElem, pos: int) -> TensorElem:

@@ -40,11 +40,6 @@ from .carrier import (
 from . import terms as t
 
 
-class SelfMapDisabled(ValueError):
-    """Raised when the formal unary operation is used over a carrier that
-    was built with it switched off."""
-
-
 class Atom:
     """One indivisible factor of a monomial."""
 
@@ -302,8 +297,6 @@ class ArgumentMemo(dict):
 
 def nf_selfmap(a: NormalForm) -> NormalForm:
     """Apply the formal unary operation: a fresh opaque atom, never expanded."""
-    if not a.carrier.selfmap_enabled:
-        raise SelfMapDisabled(f"carrier {a.carrier} was built without the unary operation")
     return NormalForm(a.carrier, ((_one_atom(AppAtom(a)), 1),))
 
 

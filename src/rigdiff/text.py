@@ -164,21 +164,6 @@ def parse(src: str, carrier: Carrier) -> Term:
         i += 1  # past the operator
 
 
-def _infer_carrier(term: Term) -> Carrier | None:
-    """The carrier of the first variable in preorder, found with an explicit
-    stack so that long chains need no recursion."""
-    stack = [term]
-    while stack:
-        sub = stack.pop()
-        if isinstance(sub, Var):
-            return sub.elem.carrier
-        if isinstance(sub, (Sum, Prod)):
-            stack += (sub.right, sub.left)
-        elif isinstance(sub, App):
-            stack.append(sub.body)
-    return None
-
-
 def emit_nf(a) -> str:
     """Render a canonical form as parseable input that normalizes back to it.
 
@@ -189,13 +174,11 @@ def emit_nf(a) -> str:
     return _render_nf(a, _render_memo(True), True)
 
 
-def print_term(term: Term, carrier: Carrier | None = None) -> str:
+def print_term(term: Term, carrier: Carrier) -> str:
     """Fully parenthesized rendering; parses back to an equal term.
 
     The text is built from an explicit stack of subterms and literal pieces,
     so long chains of sums and products need no recursion."""
-    if carrier is None:
-        carrier = _infer_carrier(term) or FreeMonoid(0)
     out = []
     stack: list = [term]
     while stack:

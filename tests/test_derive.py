@@ -146,10 +146,9 @@ class TestSymDerive:
             assert all(d_n(a, n) == common for n in (0, 1, 2, 5))
 
     def test_works_over_a_carrier_without_the_operation(self):
-        plain = FreeMonoid(2, selfmap_enabled=False)
-        a = nf("x[1,0]*x[0,1]*x[0,1]", plain)
+        a = nf("x[1,0]*x[0,1]*x[0,1]", N2)
         assert sym_derive(a) == TensorElem.from_dict(
-            (MonomialBasis(plain), plain),
+            (MonomialBasis(N2), N2),
             {(Monomial((G1, G1)), 0): 1, (Monomial((G0, G1)), 1): 2})
 
 
@@ -189,6 +188,5 @@ class TestSeededDerivation:
             seeded_derivation(nf("f(x[1])"), nf("x[1]"))
         with pytest.raises(SymmetricModeError):
             seeded_derivation(nf("x[1]"), nf("f(x[1])"))
-        plain = FreeMonoid(1, selfmap_enabled=False)
         with pytest.raises(ValueError, match="same carrier"):
-            seeded_derivation(nf("x[1]", plain), nf("x[1]"))
+            seeded_derivation(nf("x[1]"), nf("x[1,0]", N2))

@@ -34,13 +34,6 @@ class TestRandomTerm:
             t = random_term_rng(rng, N2, 0, 0, 3)
             assert len(positions(t)) == 1
 
-    def test_disabled_selfmap_is_respected(self):
-        plain = FreeMonoid(1, selfmap_enabled=False)
-        rng = random.Random(9)
-        for _ in range(200):
-            t = random_term_rng(rng, plain, 4, 2, 3)
-            assert not any(isinstance(s, App) for _, s in positions(t))
-
     def test_level2_terms_generate(self):
         rng = random.Random(3)
         carrier = MonomialBasis(N1)

@@ -10,12 +10,12 @@ from rigdiff.carrier import (
 )
 from rigdiff.gen import random_term_rng
 from rigdiff.normal import (
-    AppAtom, GenAtom, Monomial, NormalForm, ONE_MONOMIAL, SelfMapDisabled,
-    apply_functor, as_monoid_element, from_monoid_element, mono_mul, nf_add,
-    nf_from_monomial, nf_from_obj, nf_mul, nf_scale, nf_selfmap, nf_to_obj,
-    nf_var, normalize, render_nf,
+    AppAtom, GenAtom, Monomial, NormalForm, ONE_MONOMIAL, apply_functor,
+    as_monoid_element, from_monoid_element, mono_mul, nf_add, nf_from_monomial,
+    nf_from_obj, nf_mul, nf_scale, nf_selfmap, nf_to_obj, nf_var, normalize,
+    render_nf,
 )
-from rigdiff.terms import App, ONE, Prod, Sum, Var, ZERO
+from rigdiff.terms import App, ONE, Prod, Sum, Var
 from rigdiff.text import parse
 
 N1 = FreeMonoid(1)
@@ -145,13 +145,6 @@ class TestArithmetic:
         assert a.coeff(ONE_MONOMIAL) == 3
         assert a.coeff(Monomial((G0,))) == 2
         assert a.coeff(Monomial((G0, G0))) == 0
-
-    def test_selfmap_respects_the_carrier_switch(self):
-        plain = FreeMonoid(1, selfmap_enabled=False)
-        with pytest.raises(SelfMapDisabled):
-            nf_selfmap(NormalForm.one(plain))
-        with pytest.raises(SelfMapDisabled):
-            normalize(App(ZERO), plain)
 
 
 class TestHasAppAtoms:

@@ -139,7 +139,7 @@ def test_parse_outcomes_are_frozen():
         text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 14)))
         for carrier in (N1, N2, L2):
             try:
-                outcome = repr(parse(text, carrier)).replace(", selfmap_enabled=True", "")
+                outcome = repr(parse(text, carrier))
             except ParseError as exc:
                 outcome = f"ParseError: {exc}"
             digest.update(f"{outcome}\n".encode())
@@ -164,10 +164,6 @@ class TestPrintTerm:
                 t = random_term_rng(rng, carrier, 4, 2, 5)
                 assert parse(print_term(t, carrier), carrier) == t
 
-    def test_infers_carrier_from_a_variable(self):
-        t = parse("x[1,0]+x[0,2]", N2)
-        assert parse(print_term(t), N2) == t
-
     def test_level2_payload_prints_as_input_syntax(self):
         t = parse("y[x[2]]", L2)
         assert print_term(t, L2) == "y[2*x[1]]"
@@ -176,7 +172,7 @@ class TestPrintTerm:
     def test_long_chains(self, op):
         t = parse(op.join(["x[1]"] * 3000), N1)
         start = time.perf_counter()
-        text = print_term(t)
+        text = print_term(t, N1)
         assert time.perf_counter() - start < 5
         assert text == "(" * 2999 + "x[1]" + f" {op} x[1])" * 2999
 
