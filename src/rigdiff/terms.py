@@ -19,41 +19,77 @@ from .carrier import MonoidElem, MonoidHom, elem_add, hom_apply
 
 
 class Term:
-    """Base class for expression trees."""
+    """Base class for expression trees.
+
+    Equality compares two trees node by node, and the hash reads the
+    preorder sequence of node types and variable elements.  Both walk an
+    explicit stack, so long chains need no Python frames per node."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, (Sum, Prod)):
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif isinstance(a, App):
+                stack.append((a.body, b.body))
+            elif isinstance(a, Var) and a.elem != b.elem:
+                return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        key = []
+        stack = [self]
+        while stack:
+            s = stack.pop()
+            key.append(type(s))
+            if isinstance(s, (Sum, Prod)):
+                stack += (s.right, s.left)
+            elif isinstance(s, App):
+                stack.append(s.body)
+            elif isinstance(s, Var):
+                key.append(s.elem)
+        return hash(tuple(key))
+
+
+@dataclass(frozen=True, eq=False)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     """Formal variable indexed by a carrier element."""
 
     elem: MonoidElem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prod(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Term):
     """The formal unary operation applied to a subterm."""
 

@@ -94,6 +94,22 @@ class TestAddressing:
                 rewrite_step(t, RewriteRule("comm_add"), path)
 
 
+class TestEquality:
+    def test_long_chains_compare_and_hash_without_recursion(self):
+        chain = "+".join(["x[1]"] * 3000)
+        a, b = parse(chain, N1), parse(chain, N1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != parse(chain[:-len("x[1]")] + "x[2]", N1)  # the last leaf differs
+
+    def test_is_structural(self):
+        x, y = v(N1, {0: 1}), v(N1, {0: 2})
+        assert Sum(x, y) == Sum(x, y) and hash(Sum(x, y)) == hash(Sum(x, y))
+        for other in (Sum(y, x), Prod(x, y), App(Sum(x, y)), x, ZERO):
+            assert Sum(x, y) != other
+        assert Zero() == ZERO and One() != ZERO and App(ONE) != App(ZERO)
+        assert ONE != 1
+
+
 class TestRules:
     def test_assoc_add_both_directions(self):
         t = Sum(Sum(ONE, ZERO), ONE)
