@@ -34,6 +34,10 @@ class FreeMonoid:
 
     rank: int
 
+    def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError(f"a carrier rank must be a natural, got {self.rank}")
+
     @property
     def level(self) -> int:
         return 1

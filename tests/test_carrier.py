@@ -22,6 +22,12 @@ def e(carrier, coeffs):
     return MonoidElem.from_dict(carrier, coeffs)
 
 
+def test_rank_must_be_a_natural():
+    with pytest.raises(ValueError, match="natural, got -3"):
+        FreeMonoid(-3)
+    assert MonoidElem.zero(FreeMonoid(0)).is_zero()  # rank 0 stays legal
+
+
 class TestMonoidElem:
     def test_from_dict_sorts_and_drops_zeros(self):
         a = e(N3, {2: 4, 0: 1, 1: 0})

@@ -199,8 +199,13 @@ class TestLaws:
         ["laws", "--cases", "-1"],
         ["laws", "--depth", "-1", "--cases", "2"],
         ["distinctness", "--n-values", ""],
+        ["normalize", "--carrier", "-1", "1"],
+        ["derive", "--carrier", "-2", "--n", "1", "1+1"],
+        ["mu", "--carrier", "-1", "g(y[1])"],
+        ["eval", "--carrier", "-1", "--target", "identity", "--phi", "1", "1"],
     ], ids=["empty-n-values", "blank-n-values", "negative-cases", "negative-depth",
-            "distinctness-empty-n-values"])
+            "distinctness-empty-n-values", "normalize-negative-carrier",
+            "derive-negative-carrier", "mu-negative-carrier", "eval-negative-carrier"])
     def test_rejects_flag_values_it_cannot_run(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
