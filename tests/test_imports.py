@@ -1,6 +1,8 @@
-"""Import hygiene: every name a module imports is read somewhere in it.
+"""Import hygiene: every name a module imports is read somewhere in it, and
+every private top-level name is read somewhere in the package.
 
-``__init__.py`` is left out, because it imports names to re-export them."""
+``__init__.py`` is left out of the import scan, because it imports names to
+re-export them."""
 
 import ast
 from pathlib import Path
@@ -36,3 +38,46 @@ def test_the_scan_sees_reads_in_code_and_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Private top-level names (one leading underscore) -> defining line."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def names_read(source: str) -> set[str]:
+    """Names loaded, plus attribute names (``module._name``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    read = set().union(*map(names_read, sources.values()))
+    return sorted(f"{module}:{name} (line {line})" for module, source in sources.items()
+                  for name, line in private_definitions(source).items() if name not in read)
+
+
+def test_the_private_scan_sees_definitions_and_reads():
+    sources = {"a.py": "_K = 1\n_t: int = 2\ndef _f():\n    return _K\nclass _C:\n    pass\n",
+               "b.py": "from . import a\ndef g():\n    return a._f() + _h\n_h, _j = 3, 4\n"}
+    assert unread_private_names(sources) == [
+        "a.py:_C (line 5)", "a.py:_t (line 2)", "b.py:_j (line 4)"]
+
+
+def test_package_reads_every_private_name_it_defines():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert sum(map(len, map(private_definitions, sources.values()))) > 50
+    assert unread_private_names(sources) == []
