@@ -19,11 +19,8 @@ from .carrier import MonoidElem, MonoidHom, elem_add, hom_apply
 
 
 class Term:
-    """Base class for expression trees.
-
-    Equality compares two trees node by node, and the hash reads the
-    preorder sequence of node types and variable elements.  Both walk an
-    explicit stack, so long chains need no Python frames per node."""
+    """Base class for expression trees.  ``==`` and ``hash`` walk an explicit
+    stack, so long chains need no Python frames per node."""
 
     __slots__ = ()
 
@@ -35,17 +32,15 @@ class Term:
             a, b = stack.pop()
             if a is b:
                 continue
-            if type(a) is not type(b):
+            if type(a) is not type(b) or isinstance(a, Var) and a.elem != b.elem:
                 return False
             if isinstance(a, (Sum, Prod)):
                 stack += ((a.right, b.right), (a.left, b.left))
             elif isinstance(a, App):
                 stack.append((a.body, b.body))
-            elif isinstance(a, Var) and a.elem != b.elem:
-                return False
         return True
 
-    def __hash__(self):
+    def __hash__(self):  # over the preorder node types and variable elements
         key = []
         stack = [self]
         while stack:
