@@ -12,15 +12,22 @@ fallback in ``cli.main`` must never fire.  The batch runs in a child process
 with capped memory and a wall-clock timeout, calling ``main`` in process for
 each input.
 
+``test_outcomes_are_frozen`` pins what a user sees: a SHA-256 digest over
+(argv, exit code, stdout, stderr) of every input of a seed-3 batch, with the
+``laws`` timings (the text seconds column and the structured ``"seconds"``
+fields) removed.  A refactor of ``cli.py`` that changes no output keeps it.
+
 Run the batch by hand (it prints a JSON summary)::
 
     PYTHONPATH=src python tests/test_cli_fuzz.py SEED COUNT
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
+import re
 import signal
 import sys
 import time
@@ -28,6 +35,10 @@ import time
 from test_cli import child_run
 
 SEED, COUNT = 1, 1000
+DIGEST_SEED, DIGEST_COUNT = 3, 400
+OUTCOMES_DIGEST = "fc32a7890657c198a7844970d38c554171c0dbcf7e2bed417bc15e76b30fb058"
+# The seconds column of a law row in text and every structured "seconds".
+LAW_TIMINGS = re.compile(r"  +[0-9.]+$|\"seconds\": [0-9.e-]+", re.M)
 PER_INPUT_SECONDS = 5
 CATALOG_TARGETS = ("identity", "successor", "square", "double", "const-one",
                    "const-zero")
@@ -140,6 +151,7 @@ def run_batch(seed, count):
 
     signal.signal(signal.SIGALRM, _on_alarm)
     codes, bad, recursion = {}, [], 0
+    digest = hashlib.sha256()
     started = time.perf_counter()
     for argv in inputs(seed, count, MAX_NESTING):
         out, err = io.StringIO(), io.StringIO()
@@ -157,12 +169,16 @@ def run_batch(seed, count):
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
         text = err.getvalue()
+        shown = out.getvalue()
+        if argv[0] == "laws":
+            shown = LAW_TIMINGS.sub("", shown)
+        digest.update(json.dumps([argv, str(code), shown, text]).encode() + b"\n")
         recursion += "maximum recursion depth" in text
         codes[str(code)] = codes.get(str(code), 0) + 1
         if code not in (0, 2) or "Traceback" in text:
             bad.append({"argv": [a[:200] for a in argv], "code": str(code)})
     return {"inputs": sum(codes.values()), "codes": codes, "bad": bad,
-            "recursion_errors": recursion,
+            "recursion_errors": recursion, "digest": digest.hexdigest(),
             "seconds": round(time.perf_counter() - started, 2)}
 
 
@@ -176,6 +192,12 @@ def test_every_input_exits_0_or_2_without_a_traceback():
     # both outcomes are well represented, so the batch exercises answers
     # as well as errors
     assert min(summary["codes"].get("0", 0), summary["codes"].get("2", 0)) > COUNT // 5
+
+
+def test_outcomes_are_frozen():
+    proc = child_run(__file__, str(DIGEST_SEED), str(DIGEST_COUNT), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["digest"] == OUTCOMES_DIGEST
 
 
 if __name__ == "__main__":
