@@ -17,7 +17,8 @@ each input.
 ``laws`` timings (the text seconds column and the structured ``"seconds"``
 fields) removed.  A refactor of ``cli.py`` that changes no output keeps it.
 
-Run the batch by hand (it prints a JSON summary)::
+Run the batch by hand (it prints a JSON summary, and exits 1 when an input
+is bad or met the recursion limit)::
 
     PYTHONPATH=src python tests/test_cli_fuzz.py SEED COUNT
 """
@@ -202,4 +203,6 @@ def test_outcomes_are_frozen():
 
 if __name__ == "__main__":
     seed, count = map(int, sys.argv[1:])
-    print(json.dumps(run_batch(seed, count)))
+    summary = run_batch(seed, count)
+    print(json.dumps(summary))
+    sys.exit(1 if summary["bad"] or summary["recursion_errors"] else 0)
