@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import re
 
-from .carrier import Carrier, FreeMonoid, MonoidElem, MonomialBasis, TensorElem
+from .carrier import (
+    Carrier, CarrierMismatch, FreeMonoid, MonoidElem, MonomialBasis, TensorElem,
+)
 from .normal import (
     _render_memo, _render_monomial, _render_nf, app_letter, as_monoid_element,
     from_monoid_element, normalize, var_letter,
@@ -177,7 +179,8 @@ def emit_nf(a) -> str:
 def print_term(term: Term, carrier: Carrier) -> str:
     """Fully parenthesized rendering; parses back to an equal term.
 
-    The text is built from an explicit stack of subterms and literal pieces,
+    A variable over another carrier raises ``CarrierMismatch``, as in
+    ``normalize``.  The text is built from an explicit stack of subterms and literal pieces,
     so long chains of sums and products need no recursion."""
     out = []
     stack: list = [term]
@@ -202,6 +205,8 @@ def _print_leaf(term: Term, carrier: Carrier) -> str:
     if isinstance(term, One):
         return "1"
     if isinstance(term, Var):
+        if term.elem.carrier != carrier:
+            raise CarrierMismatch(f"variable over {term.elem.carrier} printed over {carrier}")
         level = carrier.level
         if isinstance(carrier, FreeMonoid):
             coords = ",".join(str(term.elem.coeff(i)) for i in range(carrier.rank))

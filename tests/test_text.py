@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from rigdiff.carrier import FreeMonoid, MonoidElem, MonomialBasis
+from rigdiff.carrier import CarrierMismatch, FreeMonoid, MonoidElem, MonomialBasis
 from rigdiff.derive import d_n
 from rigdiff.gen import random_term_rng
 from rigdiff.normal import (
@@ -167,6 +167,13 @@ class TestPrintTerm:
     def test_level2_payload_prints_as_input_syntax(self):
         t = parse("y[x[2]]", L2)
         assert print_term(t, L2) == "y[2*x[1]]"
+
+    @pytest.mark.parametrize("carrier", [N1, FreeMonoid(3), L2])
+    def test_rejects_a_variable_over_another_carrier(self, carrier):
+        # over a smaller rank a coordinate would be dropped, over a larger
+        # one padded with zeros; either text parses back to another term
+        with pytest.raises(CarrierMismatch):
+            print_term(parse("f(x[1,2]) + 1", N2), carrier)
 
     @pytest.mark.parametrize("op", ["+", "*"])
     def test_long_chains(self, op):
