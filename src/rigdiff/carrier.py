@@ -66,7 +66,7 @@ class MonomialBasis:
         return self.base.level + 1
 
     def check_key(self, key: Any) -> None:
-        if isinstance(key, int) or not hasattr(key, "order_key"):
+        if not hasattr(key, "atoms"):  # of the key types, only Monomial has it
             raise CarrierMismatch(f"{key!r} is not a monomial key of {self}")
 
     def __str__(self) -> str:

@@ -73,6 +73,11 @@ class TestMonoidElem:
         with pytest.raises(CarrierMismatch):
             MonoidElem.from_dict(MonomialBasis(N1), {0: 1})
 
+    def test_monomial_basis_rejects_atom_keys(self):
+        # an atom has an order key but is not a monomial
+        with pytest.raises(CarrierMismatch):
+            MonoidElem.generator(MonomialBasis(N1), GenAtom(0))
+
     def test_levels(self):
         assert N1.level == 1
         assert MonomialBasis(N1).level == 2
