@@ -3,9 +3,11 @@
 Subcommands: ``normalize`` an expression, ``derive`` it with a chosen family
 member, ``mu``-collapse a level-2 expression, ``eval`` into a rig of
 naturals, and run the ``laws`` suite or the ``distinctness`` check.  An
-expression argument of ``-`` reads from stdin.  ``--format structured``
-emits JSON built from the canonical order, so equal values print equal
-bytes.
+expression argument of ``-`` reads from stdin.  Each command is declared
+once, in ``build_parser``: its subparser sets ``run``, which returns ``(exit
+code, result)``, and the result's two views, ``to_obj`` and ``render``.
+``main`` alone prints a result: ``--format structured`` emits JSON built
+from the canonical order, so equal values print equal bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 
 from .carrier import FreeMonoid, MonomialBasis
 from .derive import d_n
-from .laws import SuiteConfig, check_distinctness, check_laws
+from .laws import LawReport, SuiteConfig, check_distinctness, check_laws
 from .modality import CATALOG, MAX_EVAL_BITS, evaluate, mu, rig_from_term
 from .normal import nf_to_obj, normalize, render_nf, tensor_to_obj
 from .text import parse, render_tensor
@@ -42,15 +44,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("normalize", help="canonical form of an expression")
     _base_flags(p)
+    p.set_defaults(run=lambda a: (0, _read_nf(a)), to_obj=nf_to_obj, render=render_nf)
 
     p = subs.add_parser("derive", help="apply one derivative family member")
     _base_flags(p)
     p.add_argument("--n", type=int, required=True,
                    help="family index (weight of the unary operation)")
+    p.set_defaults(run=lambda a: (0, d_n(_read_nf(a), a.n)),
+                   to_obj=tensor_to_obj, render=render_tensor)
 
     p = subs.add_parser("mu", help="collapse a level-2 expression one level")
     _base_flags(p, levels=False)
-    p.set_defaults(level=2)
+    p.set_defaults(level=2, run=lambda a: (0, mu(_read_nf(a))),
+                   to_obj=nf_to_obj, render=render_nf)
 
     p = subs.add_parser("eval", help="evaluate in the naturals (up to %d bits)"
                         % MAX_EVAL_BITS)
@@ -60,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                         % ", ".join(sorted(CATALOG)))
     p.add_argument("--phi", required=True, metavar="LIST",
                    help="comma-separated images of the generators")
+    p.set_defaults(level=1, run=_cmd_eval, to_obj=int, render=str)
 
     p = subs.add_parser("laws", help="run the randomized law suite")
     p.add_argument("--seed", type=int, default=0)
@@ -68,12 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
                         % SuiteConfig.level3_cases)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--format", choices=("text", "structured"), default="text")
+    p.set_defaults(run=_cmd_laws, to_obj=LawReport.to_obj,
+                   render=LawReport.render_text)
 
     p = subs.add_parser("distinctness",
                         help="evaluate each family member on the witness")
     p.add_argument("--n-values", default=",".join(str(n) for n in range(11)),
                    metavar="LIST")
     p.add_argument("--format", choices=("text", "structured"), default="text")
+    p.set_defaults(run=_cmd_distinctness, to_obj=_pairs_obj, render=_pairs_text)
 
     return parser
 
@@ -81,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_nf(args):
     """The canonical form of the command's expression, at its level."""
     base = FreeMonoid(args.carrier)
-    carrier = MonomialBasis(base) if getattr(args, "level", 1) == 2 else base
+    carrier = MonomialBasis(base) if args.level == 2 else base
     text = sys.stdin.read() if args.expr == "-" else args.expr
     return normalize(parse(text, carrier), carrier)
 
@@ -93,25 +103,7 @@ def _nat_list(text: str) -> list[int]:
     return values
 
 
-# command -> (compute from the canonical form, structured view, display text)
-_VALUE_COMMANDS = {
-    "normalize": (lambda nf, args: nf, nf_to_obj, render_nf),
-    "derive": (lambda nf, args: d_n(nf, args.n), tensor_to_obj, render_tensor),
-    "mu": (lambda nf, args: mu(nf), nf_to_obj, render_nf),
-}
-
-
-def _cmd_value(args) -> int:
-    compute, to_obj, render = _VALUE_COMMANDS[args.command]
-    value = compute(_read_nf(args), args)
-    if args.format == "structured":
-        print(json.dumps(to_obj(value), indent=2))
-    else:
-        print(render(value))
-    return 0
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     nf = _read_nf(args)
     images = _nat_list(args.phi)
     if len(images) != args.carrier:
@@ -120,21 +112,16 @@ def _cmd_eval(args) -> int:
     if rig is None:
         rig_carrier = FreeMonoid(1)
         rig = rig_from_term(parse(args.target, rig_carrier), rig_carrier)
-    print(evaluate(nf, rig, dict(enumerate(images))))
-    return 0
+    return 0, evaluate(nf, rig, dict(enumerate(images)))
 
 
-def _cmd_laws(args) -> int:
+def _cmd_laws(args):
     cfg = SuiteConfig(seed=args.seed, cases=args.cases, max_depth=args.depth)
     report = check_laws(cfg)
-    if args.format == "structured":
-        print(json.dumps(report.to_obj(), indent=2))
-    else:
-        print(report.render_text())
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), report
 
 
-def _cmd_distinctness(args) -> int:
+def _cmd_distinctness(args):
     n_values = _nat_list(args.n_values)
     if not n_values:
         raise ValueError("--n-values needs at least one entry")
@@ -142,34 +129,28 @@ def _cmd_distinctness(args) -> int:
     if repeated:
         raise ValueError(f"--n-values repeats {', '.join(map(str, repeated))}")
     try:
-        pairs = check_distinctness(n_values)
+        return 0, check_distinctness(n_values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "structured":
-        print(json.dumps({"pairs": [[n, v] for n, v in pairs], "distinct": True},
-                         indent=2))
-    else:
-        for n, value in pairs:
-            print(f"n={n}: {value}")
-        print(f"{len(pairs)} values, all distinct")
-    return 0
+        return 1, None
 
 
-_COMMANDS = {
-    "normalize": _cmd_value,
-    "derive": _cmd_value,
-    "mu": _cmd_value,
-    "eval": _cmd_eval,
-    "laws": _cmd_laws,
-    "distinctness": _cmd_distinctness,
-}
+def _pairs_obj(pairs) -> dict:
+    return {"pairs": [[n, v] for n, v in pairs], "distinct": True}
+
+
+def _pairs_text(pairs) -> str:
+    lines = [f"n={n}: {value}" for n, value in pairs]
+    return "\n".join(lines + [f"{len(pairs)} values, all distinct"])
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code, result = args.run(args)
+        if result is not None:
+            print(json.dumps(args.to_obj(result), indent=2)
+                  if args.format == "structured" else args.render(result))
         sys.stdout.flush()
         return code
     except BrokenPipeError:
