@@ -205,4 +205,7 @@ if __name__ == "__main__":
     seed, count = map(int, sys.argv[1:])
     summary = run_batch(seed, count)
     print(json.dumps(summary))
-    sys.exit(1 if summary["bad"] or summary["recursion_errors"] else 0)
+    if summary["bad"] or summary["recursion_errors"]:
+        # on stderr too, where the tests' failure messages look
+        sys.exit(f"bad inputs: {json.dumps(summary['bad'])}; "
+                 f"recursion errors: {summary['recursion_errors']}")
