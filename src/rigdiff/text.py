@@ -180,8 +180,8 @@ def print_term(term: Term, carrier: Carrier) -> str:
     """Fully parenthesized rendering; parses back to an equal term.
 
     A variable over another carrier raises ``CarrierMismatch``, as in
-    ``normalize``.  The text is built from an explicit stack of subterms and literal pieces,
-    so long chains of sums and products need no recursion."""
+    ``normalize``.  The text is built from an explicit stack of subterms and
+    literal pieces, so long chains of sums and products need no recursion."""
     out = []
     stack: list = [term]
     while stack:
@@ -206,7 +206,8 @@ def _print_leaf(term: Term, carrier: Carrier) -> str:
         return "1"
     if isinstance(term, Var):
         if term.elem.carrier != carrier:
-            raise CarrierMismatch(f"variable over {term.elem.carrier} printed over {carrier}")
+            raise CarrierMismatch(
+                f"variable over {term.elem.carrier} printed over {carrier}")
         level = carrier.level
         if isinstance(carrier, FreeMonoid):
             coords = ",".join(str(term.elem.coeff(i)) for i in range(carrier.rank))
