@@ -9,9 +9,8 @@ operation-free values and provably differ elsewhere.
 
 from .carrier import (
     Carrier, CarrierMismatch, FreeMonoid, MonoidElem, MonoidHom, MonomialBasis,
-    TensorElem, compose_perm, elem_add, elem_as_tensor, elem_scale, hom_apply,
-    tensor_add, tensor_bimap, tensor_concat, tensor_permute, tensor_pure,
-    tensor_scale,
+    TensorElem, elem_add, elem_as_tensor, elem_scale, hom_apply, tensor_add,
+    tensor_bimap, tensor_concat, tensor_permute, tensor_pure, tensor_scale,
 )
 from .terms import (
     App, One, Prod, RewriteRule, RuleNotApplicable, Sum, Term, Var, Zero,

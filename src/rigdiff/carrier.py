@@ -166,8 +166,8 @@ class MonoidElem(CoeffMap):
         return basis_sort_key(item[0])
 
     @staticmethod
-    def generator(carrier: Carrier, key: Any, coeff: int = 1) -> "MonoidElem":
-        return MonoidElem.from_dict(carrier, {key: coeff})
+    def generator(carrier: Carrier, key: Any) -> "MonoidElem":
+        return MonoidElem.from_dict(carrier, {key: 1})
 
 
 # Coefficient-map arithmetic on plain dicts, shared by every value type.  A
@@ -301,11 +301,6 @@ def tensor_permute(a: TensorElem, perm: Sequence[int]) -> TensorElem:
     factors = tuple(a.factors[p] for p in perm)
     acc = {tuple(key[p] for p in perm): c for key, c in a.items}
     return TensorElem.from_dict(factors, acc)
-
-
-def compose_perm(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Permutation r with tensor_permute(t, r) == tensor_permute(tensor_permute(t, q), p)."""
-    return tuple(q[i] for i in p)
 
 
 FactorMap = tuple[Callable[[Any], "MonoidElem | TensorElem"], tuple[Carrier, ...]]

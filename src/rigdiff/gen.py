@@ -55,9 +55,9 @@ def random_term_rng(rng: random.Random, carrier: Carrier, max_depth: int,
     return Sum(left, right) if kind == "sum" else Prod(left, right)
 
 
-def random_hom(rng: random.Random, domain: FreeMonoid, codomain: FreeMonoid,
-               max_coeff: int = 3) -> MonoidHom:
-    rows = [[rng.randint(0, max_coeff) for _ in range(codomain.rank)]
+def random_hom(rng: random.Random, domain: FreeMonoid, codomain: FreeMonoid) -> MonoidHom:
+    """Random hom whose matrix entries are drawn from 0..3."""
+    rows = [[rng.randint(0, 3) for _ in range(codomain.rank)]
             for _ in range(domain.rank)]
     return MonoidHom.from_matrix(domain, codomain, rows)
 

@@ -235,10 +235,8 @@ class NormalForm(CoeffMap):
         return f"<NormalForm {render_nf(self)} over {self.carrier}>"
 
 
-def nf_from_monomial(carrier: Carrier, mono: Monomial, coeff: int = 1) -> NormalForm:
-    if coeff == 0:
-        return NormalForm.zero(carrier)
-    return NormalForm(carrier, ((mono, coeff),))
+def nf_from_monomial(carrier: Carrier, mono: Monomial) -> NormalForm:
+    return NormalForm(carrier, ((mono, 1),))
 
 
 def nf_var(elem: MonoidElem) -> NormalForm:

@@ -19,28 +19,23 @@ from .carrier import MonoidElem, MonoidHom, elem_add, hom_apply
 
 
 class Term:
-    """Base class for expression trees.  ``==`` and ``hash`` walk an explicit
-    stack, so long chains need no Python frames per node."""
+    """Base class for expression trees.  ``==`` and ``hash`` compare and hash
+    one flat key, built from an explicit stack, so long chains need no
+    Python frames per node."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if not isinstance(other, Term):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b) or isinstance(a, Var) and a.elem != b.elem:
-                return False
-            if isinstance(a, (Sum, Prod)):
-                stack += ((a.right, b.right), (a.left, b.left))
-            elif isinstance(a, App):
-                stack.append((a.body, b.body))
-        return True
+        return self is other or self._preorder() == other._preorder()
 
-    def __hash__(self):  # over the preorder node types and variable elements
+    def __hash__(self):
+        return hash(self._preorder())
+
+    def _preorder(self) -> tuple:
+        """The node types in preorder, each variable followed by its element:
+        equal exactly for equal trees."""
         key = []
         stack = [self]
         while stack:
@@ -52,7 +47,7 @@ class Term:
                 stack.append(s.body)
             elif isinstance(s, Var):
                 key.append(s.elem)
-        return hash(tuple(key))
+        return tuple(key)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,14 +17,14 @@ import sys
 from pathlib import Path
 
 from rigdiff.laws import SuiteConfig, check_laws
-from test_laws import doubled
+from test_laws import doubled, timeless
 
 REPORT = Path(__file__).parent / "data" / "law_report.json"
 CONFIG = SuiteConfig(cases=20, level3_cases=5)
 
 
 def reports() -> dict:
-    return {name: check_laws(CONFIG, derive_fn=fn).to_obj(include_timing=False)
+    return {name: timeless(check_laws(CONFIG, derive_fn=fn))
             for name, fn in (("d_n", None), ("doubled", doubled))}
 
 
