@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -24,6 +25,11 @@ from .laws import LawReport, SuiteConfig, check_distinctness, check_laws
 from .modality import CATALOG, MAX_EVAL_BITS, evaluate, mu, rig_from_term
 from .normal import nf_to_obj, normalize, render_nf, tensor_to_obj
 from .text import parse, render_tensor
+
+# Decimal digits of the largest natural within MAX_EVAL_BITS.  ``main`` lets
+# Python convert ints of this length to and from text (its default stops at
+# 4300 digits), so every answer within the bound prints.
+_MAX_DIGITS = math.ceil(MAX_EVAL_BITS * math.log10(2))
 
 
 def _base_flags(sub, levels: bool = True) -> None:
@@ -97,7 +103,11 @@ def _read_nf(args):
 
 
 def _nat_list(text: str) -> list[int]:
-    values = [int(piece) for piece in text.split(",") if piece.strip() != ""]
+    pieces = [piece for piece in text.split(",") if piece.strip() != ""]
+    # past _MAX_DIGITS digits int() would raise Python's own message
+    if any(sum(map(str.isdigit, piece)) > _MAX_DIGITS for piece in pieces):
+        raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
+    values = [int(piece) for piece in pieces]
     if any(v < 0 for v in values):
         raise ValueError("list entries must be naturals")
     return values
@@ -112,7 +122,10 @@ def _cmd_eval(args):
     if rig is None:
         rig_carrier = FreeMonoid(1)
         rig = rig_from_term(parse(args.target, rig_carrier), rig_carrier)
-    return 0, evaluate(nf, rig, dict(enumerate(images)))
+    value = evaluate(nf, rig, dict(enumerate(images)))
+    if value.bit_length() > MAX_EVAL_BITS:  # a coefficient times a bounded product
+        raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
+    return 0, value
 
 
 def _cmd_laws(args):
@@ -146,6 +159,8 @@ def _pairs_text(pairs) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit and max(limit, _MAX_DIGITS))
     try:
         code, result = args.run(args)
         if result is not None:
@@ -162,6 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

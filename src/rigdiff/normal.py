@@ -433,6 +433,8 @@ def from_monoid_element(e: MonoidElem) -> NormalForm:
 # --- textual rendering: display text, and parseable input for
 # --- ``text.emit_nf``; machine round trips use the structured export below
 
+# The letters of levels 1-3, which are also the parser's name table:
+# ``text.parse`` reads any of them at any level.
 _VAR_LETTERS = "xyz"
 _APP_LETTERS = "fgh"
 
@@ -443,6 +445,13 @@ def var_letter(level: int) -> str:
 
 def app_letter(level: int) -> str:
     return _APP_LETTERS[level - 1] if level <= 3 else f"f{level}"
+
+
+def letter_level(level: int, parseable: bool) -> int:
+    """The level whose letters spell ``level``.  Display text spells a level
+    past 3 ``x4[``/``f4(``, which does not parse; parseable text uses the
+    level-3 letters there."""
+    return min(level, len(_VAR_LETTERS)) if parseable else level
 
 
 def render_nf(a: NormalForm) -> str:
@@ -456,7 +465,8 @@ def render_nf(a: NormalForm) -> str:
 def _render_memo(parseable: bool) -> ArgumentMemo:
     """One rendering call's memo: argument -> text of its operation atom."""
     return ArgumentMemo(
-        lambda v, memo: f"{app_letter(v.carrier.level)}({_render_nf(v, memo, parseable)})")
+        lambda v, memo: f"{app_letter(letter_level(v.carrier.level, parseable))}"
+                        f"({_render_nf(v, memo, parseable)})")
 
 
 def _render_nf(a: NormalForm, memo: ArgumentMemo, parseable: bool) -> str:
@@ -472,7 +482,7 @@ def _render_monomial(mono: Monomial, carrier: Carrier, memo: ArgumentMemo,
     grammar reads back (``x[0,1]``) when ``parseable`` is set."""
     if not mono.atoms:
         return "1"
-    level = carrier.level
+    level = letter_level(carrier.level, parseable)
     parts = []
     for atom in mono.atoms:
         if isinstance(atom, AppAtom):

@@ -33,8 +33,9 @@ from .carrier import (
     Carrier, CarrierMismatch, FreeMonoid, MonoidElem, MonomialBasis, TensorElem,
 )
 from .normal import (
-    _render_memo, _render_monomial, _render_nf, app_letter, as_monoid_element,
-    from_monoid_element, normalize, var_letter,
+    _APP_LETTERS, _VAR_LETTERS, _render_memo, _render_monomial, _render_nf,
+    app_letter, as_monoid_element, from_monoid_element, letter_level, normalize,
+    var_letter,
 )
 from .terms import App, One, Prod, Sum, Term, Var, Zero, ONE, ZERO
 
@@ -43,8 +44,8 @@ class ParseError(ValueError):
     """Syntax or arity problem in an input expression, with position info."""
 
 
-_VAR_NAMES = {"x", "y", "z"}
-_APP_NAMES = {"f", "g", "h"}
+_VAR_NAMES = frozenset(_VAR_LETTERS)
+_APP_NAMES = frozenset(_APP_LETTERS)
 
 # Deepest nesting of "(", "f(" and level-2 "[payload]" that the parser
 # accepts.  The parser needs no limit, but the commands that consume a tree
@@ -192,7 +193,7 @@ def print_term(term: Term, carrier: Carrier) -> str:
             out.append("(")
             stack += (")", item.right, " + " if isinstance(item, Sum) else " * ", item.left)
         elif isinstance(item, App):
-            out.append(f"{app_letter(carrier.level)}(")
+            out.append(f"{app_letter(letter_level(carrier.level, True))}(")
             stack += (")", item.body)
         else:
             out.append(_print_leaf(item, carrier))
@@ -208,11 +209,11 @@ def _print_leaf(term: Term, carrier: Carrier) -> str:
         if term.elem.carrier != carrier:
             raise CarrierMismatch(
                 f"variable over {term.elem.carrier} printed over {carrier}")
-        level = carrier.level
+        letter = var_letter(letter_level(carrier.level, True))
         if isinstance(carrier, FreeMonoid):
             coords = ",".join(str(term.elem.coeff(i)) for i in range(carrier.rank))
-            return f"{var_letter(level)}[{coords}]"
-        return f"{var_letter(level)}[{emit_nf(from_monoid_element(term.elem))}]"
+            return f"{letter}[{coords}]"
+        return f"{letter}[{emit_nf(from_monoid_element(term.elem))}]"
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -17,6 +17,16 @@ from rigdiff.normal import nf_from_obj, normalize
 from rigdiff.text import MAX_NESTING, parse
 
 
+def decimal_text(n: int) -> str:
+    """``str(n)`` past Python's default limit of 4300 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -167,6 +177,29 @@ class TestMuAndEval:
                            "--target", "square", tower(12, "f(", "2"))
         assert code == 0 and out == f"{2 ** 4096}\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_eval_prints_answers_past_4300_digits(self, capsys, fmt):
+        # 3**(2**14) has 7818 digits and 25,970 bits, inside the bound
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "eval", "--target", "square", "--phi", "3",
+                             "--format", fmt, tower(14, "f(", "x[1]"))
+        assert (code, err) == (0, "") and out == decimal_text(3 ** 2 ** 14) + "\n"
+        assert sys.get_int_max_str_digits() == limit  # main restores it
+
+    def test_eval_reads_a_phi_entry_past_4300_digits(self, capsys):
+        phi = decimal_text(7 ** 6000)  # 5071 digits
+        code, out, _ = run(capsys, "eval", "--target", "identity", "--phi", phi, "x[1]")
+        assert code == 0 and out == phi + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--phi", "1" + "0" * 19729, "x[1]"],
+        ["--phi", decimal_text(1 << 65535), "3*x[1]"],
+    ], ids=["phi-entry-past-the-bound", "coefficient-past-the-bound"])
+    def test_eval_stops_past_the_bound_with_its_message(self, capsys, argv):
+        code, out, err = run(capsys, "eval", "--target", "identity", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: value exceeds {MAX_EVAL_BITS} bits\n"
+
     def test_eval_unknown_target(self, capsys):
         code, _, err = run(capsys, "eval", "x[1]", "--target", "nosuchrig",
                            "--phi", "1")
@@ -211,6 +244,14 @@ class TestLaws:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--target", "identity", "--phi=-1", "x[1]"],
+        ["distinctness", "--n-values=-1"],
+    ], ids=["eval-phi", "distinctness-n-values"])
+    def test_rejects_a_negative_list_entry(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: list entries must be naturals\n")
+
 
 class TestDistinctness:
     def test_default_range(self, capsys):
@@ -226,6 +267,15 @@ class TestDistinctness:
         assert code == 0
         obj = json.loads(out)
         assert obj == {"pairs": [[0, 0], [2, 2], [5, 5]], "distinct": True}
+
+    def test_coinciding_members_exit_1(self, capsys, monkeypatch):
+        def coinciding(n_values):
+            raise ValueError("family members coincide on the witness: [(0, 0), (1, 0)]")
+
+        monkeypatch.setattr("rigdiff.cli.check_distinctness", coinciding)
+        code, out, err = run(capsys, "distinctness", "--n-values", "0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: family members coincide on the witness: [(0, 0), (1, 0)]\n"
 
     def test_a_repeated_value_is_a_usage_error(self, capsys):
         # no two members coincide, so this is bad input, not a failed law

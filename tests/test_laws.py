@@ -3,19 +3,27 @@
 import hashlib
 import random
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
-from rigdiff.carrier import MonomialBasis, TensorElem, tensor_scale
+from rigdiff import laws
+from rigdiff.carrier import (
+    MonoidElem, MonoidHom, MonomialBasis, TensorElem, tensor_pure, tensor_scale,
+)
 from rigdiff.derive import d_n
+from rigdiff.gen import random_hom
 from rigdiff.laws import (
     LAWS, LEVEL2_DEPTH, LEVEL3_DEPTH, MAX_COEFF, MAX_F_DEPTH, PAYLOAD_DEPTH,
-    RANKS, SuiteConfig, _case_seeds, check_distinctness, check_laws, law_names,
-    replay_case, run_law,
+    RANKS, LawReport, SuiteConfig, _case_seeds, check_distinctness, check_laws,
+    law_names, replay_case, run_law,
 )
+from rigdiff.modality import eta, evaluate, mu, unit
 from rigdiff.normal import (
-    ONE_MONOMIAL, ArgumentMemo, GenAtom, mono_mul, nf_scale, nf_selfmap,
+    ONE_MONOMIAL, ArgumentMemo, GenAtom, apply_functor, mono_mul, nf_add,
+    nf_from_monomial, nf_mul, nf_scale, nf_selfmap, nf_var,
 )
+from rigdiff.terms import App, ZERO
 
 EXPECTED_NAMES = (
     "rig_laws",
@@ -191,6 +199,13 @@ class TestCleanRun:
         bare = timeless(report)
         assert all("seconds" not in entry for entry in bare["laws"])
 
+    def test_render_text_shows_five_failures_per_law(self):
+        result = run_law("linear_rule", SMALL, derive_fn=doubled)
+        text = LawReport(SMALL, (result,)).render_text()
+        assert len(result.failures) > 5
+        assert text.count("\n  seed=") == 5
+        assert f"\n  ... {len(result.failures) - 5} more failures\n" in text
+
     def test_render_text_ends_with_the_verdict(self):
         report = check_laws(SuiteConfig(cases=3, level3_cases=2))
         text = report.render_text()
@@ -300,3 +315,73 @@ class TestConfig:
 
     def test_a_negative_seed_is_a_seed(self):
         assert check_laws(SuiteConfig(seed=-1, cases=1, level3_cases=1)).ok
+
+
+def twice(fn):
+    """``fn`` with its value doubled."""
+    return lambda *args: nf_scale(fn(*args), 2)
+
+
+class _Uncomposable(MonoidHom):
+    def compose(self, inner):  # forgets the outer map
+        return inner
+
+
+def _uncomposable_hom(*args):
+    h = random_hom(*args)
+    return _Uncomposable(h.domain, h.codomain, h.image_of)
+
+
+def _first_generator(carrier):
+    return nf_var(MonoidElem.generator(carrier, 0))
+
+
+# (law, a name that rigdiff.laws imports, its broken stand-in, the start of
+# the failure message that the law must return): one row per failure
+# branch that the correct engine never takes.
+FAILURE_BRANCHES = [
+    ("rig_laws", "nf_add", lambda a, b: a, "addition commutes failed"),
+    ("normalize_homomorphism", "nf_add", twice(nf_add), "sum case failed"),
+    ("normalize_homomorphism", "nf_mul", twice(nf_mul), "product case failed"),
+    ("normalize_homomorphism", "nf_selfmap", lambda a: a, "operation case failed"),
+    ("normalize_homomorphism", "nf_var", twice(nf_var), "variable case failed"),
+    ("normalize_homomorphism", "ONE", ZERO, "constant case failed"),
+    ("rewrite_invariance_normalize", "equivalent_variant", lambda t, *_: App(t),
+     "normalization changed under rewrites"),
+    ("functor_on_terms", "apply_functor", twice(apply_functor), "term mapping disagrees"),
+    ("functor_composition", "apply_functor", twice(apply_functor), "identity map moved"),
+    ("functor_composition", "random_hom", _uncomposable_hom, "composite map disagrees"),
+    ("unit_additive", "elem_add", lambda a, b: a, "unit not additive"),
+    ("unit_additive", "MonoidElem",
+     SimpleNamespace(zero=lambda c: MonoidElem.generator(c, 0)), "unit of zero is not zero"),
+    ("monad_unit", "unit", twice(unit), "collapse after outer unit moved"),
+    ("monad_unit", "Monomial", lambda atoms: ONE_MONOMIAL, "collapse after mapped unit moved"),
+    ("monad_associativity", "nf_from_monomial", twice(nf_from_monomial),
+     "collapse orders disagree"),
+    ("modality_square", "mu", twice(mu), "collapse does not commute"),
+    ("monoid_structure", "tensor_pure", lambda elems: tensor_pure([elems[0]] * len(elems)),
+     "tensor multiplication not associative"),
+    ("monoid_structure", "eta", lambda c, k: eta(c, 2 * k), "tensor unit failed"),
+    ("monoid_structure", "tensor_permute", lambda t, perm: tensor_scale(t, 2),
+     "tensor multiplication not commutative"),
+    ("naturality_monoid_structure", "apply_functor", twice(apply_functor),
+     "induced map moved the constant"),
+    # constants keep their image, so only multiplication can break
+    ("naturality_monoid_structure", "apply_functor",
+     lambda h, v: nf_scale(apply_functor(h, v), 1 + any(m.degree for m, _ in v.items)),
+     "induced map broke multiplication"),
+    ("evaluation_homomorphism", "evaluate", lambda *args: evaluate(*args) + 1,
+     "evaluation broke on sum"),
+    ("derivative_additive", "NormalForm", SimpleNamespace(zero=_first_generator),
+     "derivative of zero is not zero"),
+    ("n_independence", "default_d_n", lambda a, n: tensor_scale(d_n(a, n), n),
+     "operation-free value"),
+]
+
+
+@pytest.mark.parametrize("law, name, broken, message", FAILURE_BRANCHES,
+                         ids=[f"{row[0]}-{row[3]}" for row in FAILURE_BRANCHES])
+def test_each_failure_branch_returns_its_message(monkeypatch, law, name, broken, message):
+    monkeypatch.setattr(laws, name, broken)
+    got = [replay_case(law, seed, SMALL) for seed in _case_seeds(0, law, 12)]
+    assert any(m is not None and m.startswith(message) for m in got), got

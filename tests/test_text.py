@@ -21,6 +21,10 @@ from rigdiff.text import (
 N1 = FreeMonoid(1)
 N2 = FreeMonoid(2)
 L2 = MonomialBasis(N1)
+L4 = MonomialBasis(MonomialBasis(L2))
+L5 = MonomialBasis(L4)
+# An f of a level-4 variable: display text spells level 4 ``x4[``/``f4(``.
+DEEP_SRC = "f(y[z[y[x[1]]]] + 2) * x[z[y[f(x[1])]]]"
 
 
 class TestParse:
@@ -164,6 +168,14 @@ class TestPrintTerm:
                 t = random_term_rng(rng, carrier, 4, 2, 5)
                 assert parse(print_term(t, carrier), carrier) == t
 
+    @pytest.mark.parametrize("carrier", [L4, L5], ids=["level4", "level5"])
+    def test_round_trip_past_level_3(self, carrier):
+        rng = random.Random(5)
+        terms = [parse(DEEP_SRC, L4)] if carrier is L4 else []
+        terms += [random_term_rng(rng, carrier, 3, 2, 3) for _ in range(20)]
+        for t in terms:
+            assert parse(print_term(t, carrier), carrier) == t
+
     def test_level2_payload_prints_as_input_syntax(self):
         t = parse("y[x[2]]", L2)
         assert print_term(t, L2) == "y[2*x[1]]"
@@ -192,6 +204,15 @@ class TestEmitNf:
                 nf = normalize(random_term_rng(rng, carrier, 4, 2, 5), carrier)
                 assert normalize(parse(emit_nf(nf), carrier), carrier) == nf
 
+    @pytest.mark.parametrize("carrier", [L4, L5], ids=["level4", "level5"])
+    def test_round_trip_past_level_3(self, carrier):
+        rng = random.Random(7)
+        terms = [parse(DEEP_SRC, L4)] if carrier is L4 else []
+        terms += [random_term_rng(rng, carrier, 3, 2, 3) for _ in range(20)]
+        for t in terms:
+            nf = normalize(t, carrier)
+            assert normalize(parse(emit_nf(nf), carrier), carrier) == nf
+
     def test_generator_atoms_emit_as_unit_vectors(self):
         nf = normalize(parse("x[0,1]", N2), N2)
         assert emit_nf(nf) == "x[0,1]"
@@ -219,6 +240,12 @@ class TestRenderings:
         square = normalize(parse("x[1]*x[1]", N1), N1)
         assert render_tensor(d_n(square, 0)) == "2*(x[0] ⊗ e[0])"
         assert render_tensor(d_n(NormalForm.zero(N1), 1)) == "0"
+
+    def test_display_text_spells_level_4_with_its_number(self):
+        v = normalize(parse(DEEP_SRC, L4), L4)
+        assert render_nf(v) == "x4[z[y[f(x[0])]]]*f4(2 + x4[z[y[x[0]]]])"
+        assert render_tensor(d_n(v, 3)) == ("3*(x4[z[y[f(x[0])]]] ⊗ z[y[x[0]]])"
+                                            " + f4(2 + x4[z[y[x[0]]]]) ⊗ z[y[f(x[0])]]")
 
     def test_render_tensor_level2_keys_use_monomial_text(self):
         nf2 = normalize(parse("g(y[1])", L2), L2)
