@@ -160,7 +160,7 @@ def _pairs_text(pairs) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit and max(limit, _MAX_DIGITS))
+    sys.set_int_max_str_digits(limit and max(limit, _MAX_DIGITS))  # 0: no limit
     try:
         code, result = args.run(args)
         if result is not None:

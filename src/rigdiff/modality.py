@@ -97,8 +97,8 @@ CATALOG: dict[str, RigWithSelfMap] = {
 }
 
 
-# ``evaluate`` stops above this bit length; no printable answer comes near
-# it (Python prints no int above 4300 digits, about 14,300 bits).
+# ``evaluate`` stops above this bit length, and the CLI prints every answer
+# within it (up to 19,729 digits).
 MAX_EVAL_BITS = 1 << 16
 _LARGEST = (1 << MAX_EVAL_BITS) - 1  # the largest natural within the bound
 

@@ -94,7 +94,8 @@ def ref_seeded_derivation(a, seed):
     for mono, c in a.items:
         if mono.degree:
             rest = Monomial(mono.atoms[:-1])
-            out = nf_add(out, nf_mul(nf_scale(nf_from_monomial(a.carrier, rest), c * mono.degree), seed))
+            term = nf_scale(nf_from_monomial(a.carrier, rest), c * mono.degree)
+            out = nf_add(out, nf_mul(term, seed))
     return out
 
 

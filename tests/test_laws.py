@@ -368,7 +368,8 @@ FAILURE_BRANCHES = [
      "induced map broke multiplication"),
     ("evaluation_homomorphism", "evaluate", lambda *args: evaluate(*args) + 1,
      "evaluation broke on sum"),
-    ("derivative_additive", "NormalForm", SimpleNamespace(zero=lambda c: nf_var(MonoidElem.generator(c, 0))),
+    ("derivative_additive", "NormalForm",
+     SimpleNamespace(zero=lambda c: nf_var(MonoidElem.generator(c, 0))),
      "derivative of zero is not zero"),
     ("n_independence", "default_d_n", lambda a, n: tensor_scale(d_n(a, n), n),
      "operation-free value"),
