@@ -28,7 +28,8 @@ from .text import parse, render_tensor
 
 # Decimal digits of the largest natural within MAX_EVAL_BITS.  ``main`` lets
 # Python convert ints of this length to and from text (its default stops at
-# 4300 digits), so every answer within the bound prints.
+# 4300 digits), so every answer within the bound prints; a longer number in
+# any result stops with this printing limit in the message.
 _MAX_DIGITS = math.ceil(MAX_EVAL_BITS * math.log10(2))
 
 
@@ -164,8 +165,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, result = args.run(args)
         if result is not None:
-            print(json.dumps(args.to_obj(result), indent=2)
-                  if args.format == "structured" else args.render(result))
+            try:
+                text = (json.dumps(args.to_obj(result), indent=2)
+                        if args.format == "structured" else args.render(result))
+            except ValueError:  # raised here only by int-to-text past the limit
+                raise ValueError("a number in the result exceeds the printing limit"
+                                 f" of {_MAX_DIGITS} digits") from None
+            print(text)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -19,7 +19,7 @@ from .carrier import (
     elem_as_tensor,
 )
 from .normal import (
-    ArgumentMemo, GenAtom, NormalForm, as_monoid_element, extend_generators,
+    ArgumentMemo, GenAtom, NormalForm, _extension, as_monoid_element,
     mono_mul, nf_scale, nf_var, normalize,
 )
 from .terms import Term
@@ -69,14 +69,14 @@ def mu(a: NormalForm) -> NormalForm:
 
     Level-2 generator atoms name level-1 monomials and are read as those
     values; the level-2 unary operation becomes the level-1 one.  This is
-    ``extend_generators`` with each generator sent to its monomial, so
+    a fresh ``_extension`` with each generator sent to its monomial, so
     within one call each distinct operation argument is collapsed once
     (innermost first, without recursion) and each distinct prefix of a
     monomial's atoms is expanded once.
     """
     if not isinstance(a.carrier, MonomialBasis):
         raise CarrierMismatch(f"mu needs a level >= 2 value, got one over {a.carrier}")
-    return extend_generators(a, a.carrier, a.carrier.base, lambda mono: ((mono, 1),))
+    return _extension(a.carrier, a.carrier.base, lambda mono: ((mono, 1),))(a)
 
 
 @dataclass(frozen=True)

@@ -260,7 +260,8 @@ def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
 
 
 class ArgumentMemo(dict):
-    """One walk's results per operation argument: ``memo[arg]`` is
+    """Results per operation argument for as long as the memo lives (one
+    walk, or every call of an ``_extension``): ``memo[arg]`` is
     ``compute(arg, memo)``, computed once.  A miss first fills in every
     argument nested in ``arg`` that the memo lacks, innermost first, so
     ``compute(v, memo)`` finds each argument directly inside v as
@@ -358,25 +359,26 @@ def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
             return value
 
 
-def extend_generators(a: NormalForm, domain: Carrier, codomain: Carrier,
-                      gen_image: Callable[[Any], Sequence[tuple[Monomial, int]]]
-                      ) -> NormalForm:
-    """Apply to ``a`` the rig map from values over ``domain`` to values over
-    ``codomain`` that sends generator k to the value with items
-    ``gen_image(k)`` and carries the unary operation along.
+def _extension(domain: Carrier, codomain: Carrier,
+               gen_image: Callable[[Any], Sequence[tuple[Monomial, int]]]
+               ) -> Callable[[NormalForm], NormalForm]:
+    """The rig map from values over ``domain`` to values over ``codomain``
+    that sends generator k to the value with items ``gen_image(k)`` and
+    carries the unary operation along.
 
     Monomials that share a prefix of their sorted atoms share its image: a
-    trie of the prefixes met in one value holds one product per distinct
-    prefix, each one ``mul_items`` of its parent's product by one atom
-    image, so ``gen_image`` runs once per distinct prefix that ends in a
-    generator.  Within one call each distinct operation argument is mapped
-    once (innermost first, without recursion).  Each value's images are
+    trie of the prefixes met holds one product per distinct prefix, each one
+    ``mul_items`` of its parent's product by one atom image, so
+    ``gen_image`` runs once per distinct prefix that ends in a generator.
+    Each distinct operation argument is mapped once (innermost first,
+    without recursion).  The trie and the argument memo live as long as the
+    returned map, so every call of it shares them.  Each value's images are
     added into one dict that is sorted once."""
+    root: tuple[dict, dict] = ({ONE_MONOMIAL: 1}, {})  # (product, children)
 
     def expand(v: NormalForm, memo: ArgumentMemo) -> NormalForm:
         if v.carrier != domain:
             raise CarrierMismatch(f"value over {v.carrier} fed to a map from {domain}")
-        root: tuple[dict, dict] = ({ONE_MONOMIAL: 1}, {})  # (product, children)
         acc: dict[Monomial, int] = {}
         for mono, c in v.items:
             prod, children = root
@@ -393,18 +395,14 @@ def extend_generators(a: NormalForm, domain: Carrier, codomain: Carrier,
         return NormalForm.from_dict(codomain, acc)
 
     # operation argument -> image items of its atom
-    return expand(a, ArgumentMemo(lambda arg, memo: nf_selfmap(expand(arg, memo)).items))
+    memo = ArgumentMemo(lambda arg, memo: nf_selfmap(expand(arg, memo)).items)
+    return lambda a: expand(a, memo)
 
 
-def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
-    """Rig map induced by a carrier homomorphism.
-
-    Generator atoms map to the variables of their images and the unary
-    operation is carried along; the result is again canonical.  This is
-    ``extend_generators``, so each distinct prefix of a monomial's atoms is
-    expanded once; within one call ``h.image_of`` runs once per distinct
-    generator.
-    """
+@functools.lru_cache(maxsize=1)
+def _induced(h: MonoidHom) -> Callable[[NormalForm], NormalForm]:
+    """``h``'s rig map.  The cache holds the last hom (compared by identity)
+    and its map, so consecutive calls with one hom share a trie and memo."""
     images: dict = {}  # generator index -> image items
 
     def gen_image(key):
@@ -416,7 +414,21 @@ def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
             img = images[key] = img.items
         return img
 
-    return extend_generators(a, h.domain, h.codomain, gen_image)
+    return _extension(h.domain, h.codomain, gen_image)
+
+
+def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
+    """Rig map induced by a carrier homomorphism.
+
+    Generator atoms map to the variables of their images and the unary
+    operation is carried along; the result is again canonical.  This is
+    ``_extension``, so each distinct prefix of a monomial's atoms is
+    expanded once and ``h.image_of`` runs once per distinct generator, not
+    only within one call but across consecutive calls with the same ``h``:
+    the last hom and its map stay alive until a call with another hom.  So
+    ``h.image_of`` must be a function of its input.
+    """
+    return _induced(h)(a)
 
 
 def as_monoid_element(a: NormalForm) -> MonoidElem:

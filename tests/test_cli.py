@@ -294,6 +294,14 @@ class TestLongAndDeepInputs:
         code, out, _ = run(capsys, "normalize", literal)
         assert code == 0 and out == literal + "\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_a_coefficient_past_the_printing_limit(self, capsys, fmt):
+        # 20,000 digits: past the 19,729 that any command prints
+        factor = "(" + "9" * 1000 + ")"
+        code, out, err = run(capsys, "normalize", "--format", fmt, "*".join([factor] * 20))
+        assert (code, out) == (2, "")
+        assert err == "error: a number in the result exceeds the printing limit of 19729 digits\n"
+
     def test_ten_digit_literal_is_fast(self):
         # A literal expanded into a chain of n sums would need ~10**10
         # nodes and must fail fast here.

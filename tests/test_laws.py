@@ -9,7 +9,8 @@ import pytest
 
 from rigdiff import laws
 from rigdiff.carrier import (
-    MonoidElem, MonoidHom, MonomialBasis, TensorElem, tensor_pure, tensor_scale,
+    FreeMonoid, MonoidElem, MonoidHom, MonomialBasis, TensorElem, tensor_pure,
+    tensor_scale,
 )
 from rigdiff.derive import d_n
 from rigdiff.gen import random_hom
@@ -20,7 +21,7 @@ from rigdiff.laws import (
 )
 from rigdiff.modality import eta, evaluate, mu, unit
 from rigdiff.normal import (
-    ONE_MONOMIAL, ArgumentMemo, GenAtom, apply_functor, mono_mul, nf_add,
+    ONE_MONOMIAL, ArgumentMemo, GenAtom, Monomial, apply_functor, mono_mul, nf_add,
     nf_from_monomial, nf_mul, nf_scale, nf_selfmap, nf_var,
 )
 from rigdiff.terms import App, ZERO
@@ -104,9 +105,23 @@ def leibniz(weight=lambda arg, n: (ONE_MONOMIAL, n), exponents=True,
     return derive
 
 
+def first_generator(carrier):
+    """The monomial of a carrier's least generator (1 over rank 0)."""
+    if isinstance(carrier, FreeMonoid):
+        return Monomial([GenAtom(0)] if carrier.rank else [])
+    return Monomial([GenAtom(ONE_MONOMIAL)])
+
+
 # Each mutant of d_n and the failures per law it causes at MUTANT_CFG.
 MUTANT_CFG = SuiteConfig(cases=100, level3_cases=5)
 MUTANTS = {
+    # not natural: a hom moves the generator; naturality_derivative sees
+    # this through apply_functor, so it also pins that the hom's cached
+    # map leaves verdicts alone
+    "weight is the first generator": (
+        leibniz(weight=lambda arg, n: (first_generator(arg.carrier), 1)),
+        {"chain_rule": 6, "interchange_rule": 6, "naturality_derivative": 8,
+         "distinctness": 100}),
     "weight is the number of monomials": (
         leibniz(weight=lambda arg, n: (ONE_MONOMIAL, len(arg.items))),
         {"chain_rule": 1, "naturality_derivative": 5, "distinctness": 100}),

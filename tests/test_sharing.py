@@ -1,7 +1,8 @@
 """Per-call sharing of repeated operation atoms in d_n, evaluate, render_nf,
 render_tensor, emit_nf, nf_to_obj, tensor_to_obj, apply_functor and mu, of
 generator images in apply_functor, and of repeated factor keys in
-tensor_bimap.
+tensor_bimap; apply_functor also shares its images across consecutive calls
+with one hom.
 
 The references below are the plain recursive definitions, which handle
 every occurrence of an atom again.  The engine handles each distinct
@@ -13,17 +14,20 @@ wherever their values were built, so nested values hash and compare equal
 without walking their depth.
 """
 
+import functools
 import gc
 import json
 import operator
 import random
 import sys
 import time
+import weakref
 
 import pytest
 
 from rigdiff.carrier import (
-    FreeMonoid, MonoidElem, MonoidHom, MonomialBasis, TensorElem, tensor_bimap,
+    FreeMonoid, MonoidElem, MonoidHom, MonomialBasis, TensorElem, mul_items,
+    tensor_bimap,
 )
 from rigdiff.cli import main
 from rigdiff.derive import d_n
@@ -288,7 +292,8 @@ def test_walks_leave_no_reference_cycles():
              lambda: d_n(a, 1), lambda: evaluate(a, AFFINE, {0: 2, 1: 3}),
              lambda: render_nf(a), lambda: emit_nf(a), lambda: render_tensor(d),
              lambda: nf_to_obj(a), lambda: tensor_to_obj(d),
-             lambda: apply_functor(h, a), lambda: mu(unit(as_monoid_element(a))))
+             lambda: apply_functor(h, a), lambda: apply_functor(h, nf_mul(a, a)),
+             lambda: mu(unit(as_monoid_element(a))))
     gc.collect()
     gc.disable()
     try:
@@ -311,8 +316,46 @@ def test_image_of_runs_once_per_distinct_generator():
     h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
     for value in (p, a):  # in a, p's generators occur inside f(p) and outside
         calls = []
-        assert apply_functor(counting_hom(h, calls), value) == apply_functor(h, value)
+        counting = counting_hom(h, calls)
+        # two consecutive calls with one hom share its generator images
+        first = apply_functor(counting, value)
+        second = apply_functor(counting, nf_mul(value, value))
+        assert first == apply_functor(h, value)
+        assert second == apply_functor(h, nf_mul(value, value))
         assert sorted(calls) == [0, 1]
+
+
+def test_consecutive_calls_with_one_hom_share_their_products(monkeypatch):
+    p, _ = fpp()
+    h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
+    calls = []
+    monkeypatch.setattr(normal, "mul_items",
+                        lambda *args: calls.append(1) or mul_items(*args))
+    whole = apply_functor(h, p)
+    assert len(calls) == len(p.items) - 1  # one product per distinct prefix
+    parts = [apply_functor(h, nf_from_monomial(N2, mono)) for mono, _ in p.items]
+    assert len(calls) == len(p.items) - 1  # every image is already in the trie
+    total = functools.reduce(nf_add, (nf_scale(v, c) for v, (_, c) in zip(parts, p.items)))
+    assert total == whole
+
+
+def test_a_call_with_another_hom_frees_the_last_one():
+    _, a = fpp()
+    plain = nf_var(MonoidElem.generator(N2, 0))
+    apply_functor(MonoidHom.identity(N2), plain)  # no operation atoms cached
+    before = len(normal._app_atoms)
+    h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
+    ref = weakref.ref(h)
+    gc.collect()
+    gc.disable()
+    try:
+        apply_functor(h, a)  # builds f(h(p)), which only h's trie holds
+        del h
+        assert ref() is not None and len(normal._app_atoms) == before + 1
+        apply_functor(MonoidHom.identity(N2), plain)
+        assert ref() is None and len(normal._app_atoms) == before
+    finally:
+        gc.enable()
 
 
 def test_tensor_bimap_calls_each_factor_map_once_per_distinct_key():
