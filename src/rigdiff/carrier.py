@@ -46,9 +46,6 @@ class FreeMonoid:
         if not isinstance(key, int) or not 0 <= key < self.rank:
             raise CarrierMismatch(f"{key!r} is not a generator index of {self}")
 
-    def __str__(self) -> str:
-        return f"FreeMonoid(rank={self.rank})"
-
 
 @dataclass(frozen=True)
 class MonomialBasis:

@@ -109,15 +109,19 @@ def evaluate(a: NormalForm, rig: RigWithSelfMap, phi: Mapping[object, int]) -> i
 
     Within one call each distinct operation argument is evaluated once, so
     ``rig.selfmap`` must be a function: it is called once per distinct
-    argument, not once per occurrence.  A map result or a monomial past
-    ``MAX_EVAL_BITS`` bits raises ``ValueError``; one with a zero factor is 0."""
+    argument, not once per occurrence.  A map result, a monomial or the
+    answer past ``MAX_EVAL_BITS`` bits raises ``ValueError``; a monomial
+    with a zero factor is 0."""
     def apply(v: NormalForm, memo: ArgumentMemo) -> int:
         out = rig.selfmap(_evaluate(v, phi, memo))
         if out > _LARGEST:
             raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
         return out
 
-    return _evaluate(a, phi, ArgumentMemo(apply))
+    value = _evaluate(a, phi, ArgumentMemo(apply))
+    if value > _LARGEST:  # a coefficient times a bounded product
+        raise ValueError(f"value exceeds {MAX_EVAL_BITS} bits")
+    return value
 
 
 def _evaluate(a: NormalForm, phi: Mapping[object, int], memo: ArgumentMemo) -> int:

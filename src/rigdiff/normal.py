@@ -451,19 +451,13 @@ _VAR_LETTERS = "xyz"
 _APP_LETTERS = "fgh"
 
 
-def var_letter(level: int) -> str:
-    return _VAR_LETTERS[level - 1] if level <= 3 else f"x{level}"
-
-
-def app_letter(level: int) -> str:
-    return _APP_LETTERS[level - 1] if level <= 3 else f"f{level}"
-
-
-def letter_level(level: int, parseable: bool) -> int:
-    """The level whose letters spell ``level``.  Display text spells a level
-    past 3 ``x4[``/``f4(``, which does not parse; parseable text uses the
-    level-3 letters there."""
-    return min(level, len(_VAR_LETTERS)) if parseable else level
+def _letter(letters: str, level: int, parseable: bool) -> str:
+    """The letter from ``letters`` (``_VAR_LETTERS`` or ``_APP_LETTERS``)
+    that spells ``level``.  Display text spells a level past 3 ``x4[``/
+    ``f4(``, which does not parse; parseable text uses the level-3 letters."""
+    if level <= len(letters):
+        return letters[level - 1]
+    return letters[-1] if parseable else f"{letters[0]}{level}"
 
 
 def render_nf(a: NormalForm) -> str:
@@ -477,7 +471,7 @@ def render_nf(a: NormalForm) -> str:
 def _render_memo(parseable: bool) -> ArgumentMemo:
     """One rendering call's memo: argument -> text of its operation atom."""
     return ArgumentMemo(
-        lambda v, memo: f"{app_letter(letter_level(v.carrier.level, parseable))}"
+        lambda v, memo: f"{_letter(_APP_LETTERS, v.carrier.level, parseable)}"
                         f"({_render_nf(v, memo, parseable)})")
 
 
@@ -494,7 +488,7 @@ def _render_monomial(mono: Monomial, carrier: Carrier, memo: ArgumentMemo,
     grammar reads back (``x[0,1]``) when ``parseable`` is set."""
     if not mono.atoms:
         return "1"
-    level = letter_level(carrier.level, parseable)
+    letter = _letter(_VAR_LETTERS, carrier.level, parseable)
     parts = []
     for atom in mono.atoms:
         if isinstance(atom, AppAtom):
@@ -505,7 +499,7 @@ def _render_monomial(mono: Monomial, carrier: Carrier, memo: ArgumentMemo,
             k = _render_monomial(k, carrier.base, memo, parseable)
         elif parseable:
             k = ",".join("1" if i == k else "0" for i in range(carrier.rank))
-        parts.append(f"{var_letter(level)}[{k}]")
+        parts.append(f"{letter}[{k}]")
     return "*".join(parts)
 
 

@@ -28,14 +28,14 @@ left-associative.
 from __future__ import annotations
 
 import re
+import sys
 
 from .carrier import (
     Carrier, CarrierMismatch, FreeMonoid, MonoidElem, MonomialBasis, TensorElem,
 )
 from .normal import (
-    _APP_LETTERS, _VAR_LETTERS, _render_memo, _render_monomial, _render_nf,
-    app_letter, as_monoid_element, from_monoid_element, letter_level, normalize,
-    var_letter,
+    _APP_LETTERS, _VAR_LETTERS, _letter, _render_memo, _render_monomial,
+    _render_nf, as_monoid_element, from_monoid_element, normalize,
 )
 from .terms import App, One, Prod, Sum, Term, Var, Zero, ONE, ZERO
 
@@ -72,7 +72,11 @@ def _tokenize(src: str) -> tuple[list, list[int]]:
     for m in _TOKEN.finditer(src):
         text = m.group()
         if m.lastindex == 1:
-            tokens.append(int(text))
+            try:
+                tokens.append(int(text))
+            except ValueError:  # longer than Python's int/str conversion limit
+                raise ParseError(f"literal at {_at(src, m.start())} has more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
         elif m.lastindex == 3 or text.isalpha():
             tokens.append(text)
         else:
@@ -193,7 +197,7 @@ def print_term(term: Term, carrier: Carrier) -> str:
             out.append("(")
             stack += (")", item.right, " + " if isinstance(item, Sum) else " * ", item.left)
         elif isinstance(item, App):
-            out.append(f"{app_letter(letter_level(carrier.level, True))}(")
+            out.append(f"{_letter(_APP_LETTERS, carrier.level, True)}(")
             stack += (")", item.body)
         else:
             out.append(_print_leaf(item, carrier))
@@ -209,7 +213,7 @@ def _print_leaf(term: Term, carrier: Carrier) -> str:
         if term.elem.carrier != carrier:
             raise CarrierMismatch(
                 f"variable over {term.elem.carrier} printed over {carrier}")
-        letter = var_letter(letter_level(carrier.level, True))
+        letter = _letter(_VAR_LETTERS, carrier.level, True)
         if isinstance(carrier, FreeMonoid):
             coords = ",".join(str(term.elem.coeff(i)) for i in range(carrier.rank))
             return f"{letter}[{coords}]"

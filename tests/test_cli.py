@@ -394,10 +394,15 @@ class TestErrors:
             main([])
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rigdiff", "normalize", "x[2]+x[3]"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout == "5*x[0]\n"
+        # a child with this checkout's src on its path runs __main__.py
+        proc = child_run("-m", "rigdiff", "normalize", "x[1]+x[1]")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2*x[0]\n", "")
+
+    def test_an_over_long_literal_is_a_parse_error(self, capsys):
+        # past the 19,729 digits that main lets Python read and print
+        code, out, err = run(capsys, "normalize", "1" + "0" * 20000)
+        assert (code, out) == (2, "")
+        assert err == "error: literal at line 1, column 1 has more than 19729 digits\n"
 
     def test_closed_pipe_stops_without_a_traceback(self):
         # About 160 KB of output, well past a pipe's buffer, so the writer

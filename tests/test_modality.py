@@ -146,6 +146,13 @@ class TestEvaluate:
         assert evaluate(power * nf("f(x[1])"), CATALOG["const-zero"], big) == 0
         assert evaluate(power, CATALOG["identity"], {0: 1 << 4000}) == 1 << 56000
 
+    def test_the_answer_is_bounded(self):
+        # each monomial is within the bound, but a coefficient carries the sum past it
+        largest = (1 << MAX_EVAL_BITS) - 1
+        assert evaluate(nf("x[1]"), CATALOG["identity"], {0: largest}) == largest
+        with pytest.raises(ValueError, match=f"value exceeds {MAX_EVAL_BITS} bits"):
+            evaluate(nf("3*x[1]"), CATALOG["identity"], {0: largest})
+
     def test_catalog_contents(self):
         assert sorted(CATALOG) == ["const-one", "const-zero", "double",
                                    "identity", "square", "successor"]

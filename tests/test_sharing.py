@@ -86,9 +86,9 @@ def ref_monomial(mono, level):
         if isinstance(atom, GenAtom):
             index = atom.index if isinstance(atom.index, int) \
                 else ref_monomial(atom.index, level - 1)
-            parts.append(f"{normal.var_letter(level)}[{index}]")
+            parts.append(f"{'xyz'[level - 1]}[{index}]")
         else:
-            parts.append(f"{normal.app_letter(level)}({ref_render_nf(atom.argument)})")
+            parts.append(f"{'fgh'[level - 1]}({ref_render_nf(atom.argument)})")
     return "*".join(parts)
 
 
@@ -120,11 +120,11 @@ def ref_emit_atom(atom, carrier):
         if isinstance(carrier, FreeMonoid):
             coords = ",".join("1" if i == atom.index else "0"
                               for i in range(carrier.rank))
-            return f"{normal.var_letter(level)}[{coords}]"
+            return f"{'xyz'[level - 1]}[{coords}]"
         inner = ref_emit_nf(from_monoid_element(
             MonoidElem.generator(carrier, atom.index)))
-        return f"{normal.var_letter(level)}[{inner}]"
-    return f"{normal.app_letter(level)}({ref_emit_nf(atom.argument)})"
+        return f"{'xyz'[level - 1]}[{inner}]"
+    return f"{'fgh'[level - 1]}({ref_emit_nf(atom.argument)})"
 
 
 def ref_emit_nf(a):
@@ -248,27 +248,24 @@ def test_argument_is_differentiated_once(monkeypatch):
 def test_argument_is_rendered_once(monkeypatch):
     p, a = fpp()
     letters = {"x": 0, "f": 0}
-    var_letter, app_letter = normal.var_letter, normal.app_letter
+    letter = normal._letter
 
-    def count(letter, fn):
-        def counted(level):
-            letters[letter] += 1
-            return fn(level)
-        return counted
+    def counted(table, level, parseable):
+        letters[table[0]] += 1
+        return letter(table, level, parseable)
 
-    monkeypatch.setattr(normal, "var_letter", count("x", var_letter))
-    monkeypatch.setattr(normal, "app_letter", count("f", app_letter))
+    monkeypatch.setattr(normal, "_letter", counted)
     render_nf(a)
-    generators = sum(m.degree for m, _ in p.items)
-    # p's generators are spelled once inside f(p) and once in the cofactors
-    assert letters == {"x": 2 * generators, "f": 1}
+    # a monomial looks its letter up once: p's inside f(p), then each of a's
+    monomials = sum(1 for m, _ in p.items if m.atoms) + len(a.items)
+    assert letters == {"x": monomials, "f": 1}
     d = d_n(a, 1)
     letters.update(f=0)
     render_tensor(d)
     assert letters["f"] == 1
     letters.update(x=0, f=0)
     emit_nf(a)
-    assert letters == {"x": 2 * generators, "f": 1}
+    assert letters == {"x": monomials, "f": 1}
 
 
 def test_argument_object_is_shared():

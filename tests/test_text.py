@@ -112,6 +112,12 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="unexpected character '²' at line 1, column 3"):
             parse(src, N1)
 
+    def test_a_literal_past_the_digit_limit_is_a_parse_error(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError, match=f"literal at line 2, column 3 has "
+                                             f"more than {limit} digits"):
+            parse("x[1] +\n  " + "9" * (limit + 1), N1)
+
 
 def test_nesting_adds_no_python_frame():
     # The deepest accepted tower parses within 60 frames of the caller's
