@@ -43,7 +43,7 @@ class FreeMonoid:
         return 1
 
     def check_key(self, key: Any) -> None:
-        if not isinstance(key, int) or not 0 <= key < self.rank:
+        if type(key) is not int or not 0 <= key < self.rank:
             raise CarrierMismatch(f"{key!r} is not a generator index of {self}")
 
 
@@ -167,27 +167,14 @@ class MonoidElem(CoeffMap):
         return MonoidElem.from_dict(carrier, {key: 1})
 
 
-# Coefficient-map arithmetic on plain dicts, shared by every value type.  A
-# result built up over many steps stays a dict and is sorted and validated
-# once, by the type's ``from_dict``: folding through ``coeff_add`` would
-# re-sort the whole accumulator at every step.
+# A sum built up over many steps stays a plain dict and is sorted and
+# validated once, by the type's ``from_dict``: folding through ``coeff_add``
+# would re-sort the whole accumulator at every step.
 
 def add_scaled(acc: dict, items: Iterable[tuple[Any, int]], scale: int = 1) -> None:
     """acc += scale * items, pointwise."""
     for key, c in items:
         acc[key] = acc.get(key, 0) + scale * c
-
-
-def mul_items(a: Iterable[tuple[Any, int]], b: Sequence[tuple[Any, int]],
-              key_mul: Callable[[Any, Any], Any]) -> dict:
-    """The product of two (key, coeff) sequences as a dict, expanded
-    bilinearly with keys combined by ``key_mul``."""
-    out: dict = {}
-    for k1, c1 in a:
-        for k2, c2 in b:
-            key = key_mul(k1, k2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,19 +217,12 @@ class MonoidHom:
 
 
 def hom_apply(h: MonoidHom, a: MonoidElem) -> MonoidElem:
-    """Apply a homomorphism by extending its generator images additively.
-
-    The scaled images are summed in one dict and sorted once at the end.
-    """
+    """Apply a homomorphism by extending its generator images additively:
+    ``tensor_bimap`` on one factor, read back as an element."""
     if a.carrier != h.domain:
         raise CarrierMismatch(f"element of {a.carrier} fed to hom from {h.domain}")
-    acc: dict[Any, int] = {}
-    for key, c in a.items:
-        img = h.image_of(key)
-        if img.carrier != h.codomain:
-            raise CarrierMismatch(f"carrier mismatch: {h.codomain} vs {img.carrier}")
-        add_scaled(acc, img.items, c)
-    return MonoidElem.from_dict(h.codomain, acc)
+    t = tensor_bimap(elem_as_tensor(a), [(h.image_of, (h.codomain,))])
+    return MonoidElem(h.codomain, tuple((k, c) for (k,), c in t.items))
 
 
 @dataclass(frozen=True)
@@ -277,18 +257,21 @@ def elem_as_tensor(a: MonoidElem) -> TensorElem:
     return TensorElem((a.carrier,), tuple(((k,), c) for k, c in a.items))
 
 
+# A product of sorted maps joins their keys end to end in loop order: the
+# joined keys are distinct and already sorted, so nothing merges or sorts.
+
 def tensor_pure(elems: Sequence[MonoidElem]) -> TensorElem:
     """Tensor of elements, expanded multilinearly over their coefficient maps."""
-    acc: dict[tuple, int] = {(): 1}
+    items = (((), 1),)
     for e in elems:
-        acc = mul_items(acc.items(), [((k,), c) for k, c in e.items], operator.add)
-    return TensorElem.from_dict(tuple(e.carrier for e in elems), acc)
+        items = tuple((k1 + (k2,), c1 * c2) for k1, c1 in items for k2, c2 in e.items)
+    return TensorElem(tuple(e.carrier for e in elems), items)
 
 
 def tensor_concat(a: TensorElem, b: TensorElem) -> TensorElem:
     """Tensor product of two tensor elements (factor lists concatenate)."""
-    return TensorElem.from_dict(a.factors + b.factors,
-                                mul_items(a.items, b.items, operator.add))
+    return TensorElem(a.factors + b.factors, tuple(
+        (k1 + k2, c1 * c2) for k1, c1 in a.items for k2, c2 in b.items))
 
 
 def tensor_permute(a: TensorElem, perm: Sequence[int]) -> TensorElem:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .carrier import (
@@ -100,13 +100,7 @@ class LawReport:
         return all(r.ok for r in self.results)
 
     def to_obj(self) -> dict:
-        laws = [{"name": r.name,
-                 "description": r.description,
-                 "cases": r.cases,
-                 "failures": [{"seed": f.seed, "message": f.message}
-                              for f in r.failures],
-                 "seconds": round(r.seconds, 3)}
-                for r in self.results]
+        laws = [asdict(replace(r, seconds=round(r.seconds, 3))) for r in self.results]
         return {"config": asdict(self.config), "laws": laws, "ok": self.ok}
 
     def render_text(self) -> str:

@@ -29,13 +29,14 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import reprlib
 import weakref
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Sequence
 
 from .carrier import (
     Carrier, CarrierMismatch, CoeffMap, MonoidElem, MonoidHom, MonomialBasis,
-    add_scaled, basis_sort_key, coeff_add, coeff_scale, mul_items,
+    add_scaled, basis_sort_key, coeff_add, coeff_scale,
 )
 from . import terms as t
 
@@ -180,6 +181,18 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return Monomial(a.atoms + b.atoms)
 
 
+def mul_items(a: Iterable[tuple[Monomial, int]],
+              b: Sequence[tuple[Monomial, int]]) -> dict:
+    """The product of two (monomial, coeff) sequences as a dict, expanded
+    bilinearly; it is sorted once, by ``from_dict``."""
+    out: dict = {}
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 class NormalForm(CoeffMap):
     """Canonical rig value: sorted (monomial, positive coefficient) pairs.
 
@@ -256,7 +269,7 @@ nf_scale = coeff_scale
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     if a.carrier != b.carrier:
         raise CarrierMismatch(f"carrier mismatch: {a.carrier} vs {b.carrier}")
-    return NormalForm.from_dict(a.carrier, mul_items(a.items, b.items, mono_mul))
+    return NormalForm.from_dict(a.carrier, mul_items(a.items, b.items))
 
 
 class ArgumentMemo(dict):
@@ -389,7 +402,7 @@ def _extension(domain: Carrier, codomain: Carrier,
                         img = gen_image(atom.index)
                     else:
                         img = memo[atom.argument]
-                    node = children[atom] = (mul_items(prod.items(), img, mono_mul), {})
+                    node = children[atom] = (mul_items(prod.items(), img), {})
                 prod, children = node
             add_scaled(acc, prod.items(), c)
         return NormalForm.from_dict(codomain, acc)
@@ -408,10 +421,11 @@ def _induced(h: MonoidHom) -> Callable[[NormalForm], NormalForm]:
     def gen_image(key):
         img = images.get(key)
         if img is None:
-            img = nf_var(h.image_of(key))
+            img = h.image_of(key)
             if img.carrier != h.codomain:
                 raise CarrierMismatch(f"carrier mismatch: {h.codomain} vs {img.carrier}")
-            img = images[key] = img.items
+            MonoidElem._check_keys(img.carrier, img.items)
+            img = images[key] = nf_var(img).items
         return img
 
     return _extension(h.domain, h.codomain, gen_image)
@@ -509,12 +523,15 @@ def _app_obj(arg: NormalForm, memo: ArgumentMemo) -> dict:
     return {"app": _nf_obj(arg, memo)}
 
 
+def _key_obj(key, memo: ArgumentMemo):
+    """A basis key: a generator index, or a monomial key's atoms."""
+    return key if isinstance(key, int) else [_atom_to_obj(a, memo) for a in key.atoms]
+
+
 def _atom_to_obj(atom: Atom, memo: ArgumentMemo):
     if isinstance(atom, AppAtom):
         return memo[atom.argument]
-    if isinstance(atom.index, int):
-        return {"gen": atom.index}
-    return {"gen": [_atom_to_obj(a, memo) for a in atom.index.atoms]}
+    return {"gen": _key_obj(atom.index, memo)}
 
 
 def _nf_obj(a: NormalForm, memo: ArgumentMemo) -> list:
@@ -529,38 +546,56 @@ def nf_to_obj(a: NormalForm) -> list:
     return _nf_obj(a, ArgumentMemo(_app_obj))
 
 
-def _atom_from_obj(carrier: Carrier, obj, built: dict) -> Atom:
-    if "gen" in obj:
-        key = obj["gen"]
-        if isinstance(key, list):
-            if not isinstance(carrier, MonomialBasis):
-                raise CarrierMismatch("monomial generator key needs a monomial-basis carrier")
-            key = Monomial(_atom_from_obj(carrier.base, a, built) for a in key)
-        carrier.check_key(key)
-        return GenAtom(key)
+def _atom_from_obj(carrier: Carrier, obj: dict, built: dict) -> Atom:
+    """The atom of an object that ``_app_objs`` has accepted."""
     if "app" in obj:
         return AppAtom(built[id(obj["app"])])
-    raise ValueError(f"not an atom object: {obj!r}")
+    key = obj["gen"]
+    if isinstance(key, list):
+        key = Monomial(_atom_from_obj(carrier.base, a, built) for a in key)
+    carrier.check_key(key)
+    return GenAtom(key)
 
 
 def _app_objs(carrier: Carrier, atoms) -> Iterable[tuple[Carrier, list]]:
-    """(carrier, argument) of each operation atom object, in keys too."""
+    """(carrier, argument) of each operation atom object, in keys too.  An
+    atom list of a shape that ``nf_to_obj`` does not emit raises ValueError."""
+    if not isinstance(atoms, list):
+        raise ValueError(f"not a list of atom objects: {reprlib.repr(atoms)}")
     for obj in atoms:
-        if "gen" in obj:
-            if isinstance(obj["gen"], list) and isinstance(carrier, MonomialBasis):
-                yield from _app_objs(carrier.base, obj["gen"])
-        elif "app" in obj:
+        if not (isinstance(obj, dict) and len(obj) == 1 and (
+                type(obj.get("gen")) in (int, list) or type(obj.get("app")) is list)):
+            raise ValueError(f"not an atom object: {reprlib.repr(obj)}")
+        if "app" in obj:
             yield carrier, obj["app"]
+        elif isinstance(obj["gen"], list):
+            if not isinstance(carrier, MonomialBasis):
+                raise CarrierMismatch("monomial generator key needs a monomial-basis carrier")
+            yield from _app_objs(carrier.base, obj["gen"])
+
+
+def _entries(o) -> list:
+    """``o``, if it has the shape of ``nf_to_obj``'s view: a list of
+    ``{"coeff": c, "atoms": [...]}`` with c a positive int (not a bool)."""
+    if not isinstance(o, list):
+        raise ValueError(f"not a value object: {reprlib.repr(o)}")
+    for entry in o:
+        if not isinstance(entry, dict) or entry.keys() != {"coeff", "atoms"}:
+            raise ValueError(f"not a monomial object: {reprlib.repr(entry)}")
+        if type(entry["coeff"]) is not int or entry["coeff"] < 1:
+            raise ValueError(f"a coefficient must be a positive int, got {entry['coeff']!r}")
+    return o
 
 
 def nf_from_obj(carrier: Carrier, obj) -> NormalForm:
-    """Read back ``nf_to_obj``'s view.  Arguments are read innermost first
-    from an explicit stack, so nesting adds no Python frame per level."""
+    """Read back ``nf_to_obj``'s view; any other shape raises ValueError.
+    Arguments are read innermost first from an explicit stack, so nesting
+    adds no Python frame per level."""
     built: dict[int, NormalForm] = {}  # id of an object read -> its value
     stack = [(carrier, obj)]
     while stack:
         c, o = stack[-1]
-        inner = [(ci, a) for entry in o for ci, a in _app_objs(c, entry["atoms"])
+        inner = [(ci, a) for entry in _entries(o) for ci, a in _app_objs(c, entry["atoms"])
                  if id(a) not in built]
         if inner:
             stack += inner
@@ -578,12 +613,8 @@ def tensor_to_obj(a) -> dict:
     """Structured view of a tensor element (one-way; for output and diffing);
     it shares sub-objects as ``nf_to_obj`` does."""
     memo = ArgumentMemo(_app_obj)
-
-    def key_obj(k):
-        return k if isinstance(k, int) else [_atom_to_obj(x, memo) for x in k.atoms]
-
     return {
         "factors": [str(f) for f in a.factors],
-        "items": [{"coeff": c, "key": [key_obj(k) for k in key]}
+        "items": [{"coeff": c, "key": [_key_obj(k, memo) for k in key]}
                   for key, c in a.items],
     }

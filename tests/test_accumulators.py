@@ -9,6 +9,8 @@ mapping one factor at a time (tensor_bimap).  Both must give structurally
 equal values.
 """
 
+import itertools
+import math
 import random
 
 import pytest
@@ -184,6 +186,48 @@ def test_tensor_bimap_on_three_factors_matches_reference_fold():
         assert tensor_bimap(t, maps) == ref_tensor_bimap(t, maps)
 
 
+def _expanded(factors, parts):
+    """``from_dict`` of the product of (key tuple, coeff) lists, expanded
+    term by term with ``itertools.product``."""
+    acc = {}
+    for combo in itertools.product(*parts):
+        key = sum((k for k, _ in combo), ())
+        acc[key] = acc.get(key, 0) + math.prod(c for _, c in combo)
+    return TensorElem.from_dict(factors, acc)
+
+
+def test_tensor_products_join_sorted_keys():
+    # joined keys of sorted maps are distinct and in order, so both products
+    # equal from_dict of their expansion item for item (== compares the items)
+    rng = random.Random(223)
+
+    def draw():
+        r = rng.random()
+        if r < 0.1:
+            return MonoidElem.zero(N2)
+        if r < 0.5:
+            return random_elem(rng, N2, 3)
+        # monomial keys, most of them with f atoms
+        return as_monoid_element(f_dense_value(rng, N2))
+
+    empty = TensorElem((), (((), 1),))
+    multi_key_f_factors = 0
+    for _ in range(300):
+        elems = [draw() for _ in range(rng.randint(0, 3))]
+        multi_key_f_factors += sum(len(e.items) > 1 and any(
+            isinstance(x, AppAtom) for m, _ in e.items for x in m.atoms)
+            for e in elems if e.carrier != N2)
+        pure = tensor_pure(elems)
+        assert pure == _expanded(tuple(e.carrier for e in elems),
+                                 [[((k,), c) for k, c in e.items] for e in elems])
+        for b in (tensor_pure([draw(), draw()]), empty, TensorElem.zero((N2,))):
+            assert tensor_concat(pure, b) == _expanded(pure.factors + b.factors,
+                                                       [pure.items, b.items])
+            assert tensor_concat(b, pure) == _expanded(b.factors + pure.factors,
+                                                       [b.items, pure.items])
+    assert multi_key_f_factors > 100
+
+
 def test_seeded_derivation_matches_reference_fold():
     rng = random.Random(105)
     for _ in range(200):
@@ -286,6 +330,11 @@ class TestChecksStayInPlace:
         bad = MonoidHom(N1, N2, lambda k: MonoidElem(N2, ((5, 1),)))
         with pytest.raises(CarrierMismatch):
             hom_apply(bad, MonoidElem.generator(N1, 0))
+
+    def test_apply_functor_checks_image_keys(self):
+        bad = MonoidHom(N1, N2, lambda k: MonoidElem(N2, ((7, 1),)))
+        with pytest.raises(CarrierMismatch):
+            apply_functor(bad, nf("x[1]"))
 
     def test_domain_checks(self):
         with pytest.raises(CarrierMismatch):

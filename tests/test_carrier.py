@@ -43,6 +43,13 @@ class TestMonoidElem:
         with pytest.raises(CarrierMismatch):
             e(N2, {"x": 1})
 
+    def test_bool_is_not_a_generator_index(self):
+        for key in (True, False):
+            with pytest.raises(CarrierMismatch):
+                MonoidElem.generator(N2, key)
+            with pytest.raises(CarrierMismatch):
+                N2.check_key(key)
+
     def test_zero_and_generator(self):
         assert MonoidElem.zero(N2).is_zero()
         g = MonoidElem.generator(N2, 1)

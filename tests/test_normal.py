@@ -225,6 +225,33 @@ class TestStructuredExport:
         with pytest.raises(ValueError):
             nf_from_obj(N1, [{"coeff": 1, "atoms": [{"oops": 0}]}])
 
+    @pytest.mark.parametrize("obj", [
+        [{"coeff": 2.5, "atoms": [{"gen": 0}]}],
+        [{"coeff": True, "atoms": [{"gen": 0}]}],
+        [{"coeff": "3", "atoms": []}],
+        [{"coeff": 0, "atoms": []}],
+        [{"coeff": -1, "atoms": []}, {"coeff": 2, "atoms": [{"gen": 0}]}],
+        [{"atoms": [{"gen": 0}]}],
+        [{"coeff": 1}],
+        [{"coeff": 1, "atoms": [], "extra": 0}],
+        [1],
+        {"coeff": 1, "atoms": []},
+        [{"coeff": 1, "atoms": {"gen": 0}}],
+        [{"coeff": 1, "atoms": [{"gen": False}]}],
+        [{"coeff": 1, "atoms": [{"gen": "0"}]}],
+        [{"coeff": 1, "atoms": [{"gen": 0, "app": []}]}],
+        [{"coeff": 1, "atoms": [{"app": 5}]}],
+        [{"coeff": 1, "atoms": [{"app": {"coeff": 1, "atoms": []}}]}],
+        [{"coeff": 1, "atoms": [{"app": [{"coeff": 1.5, "atoms": []}]}]}],
+    ], ids=["float-coeff", "bool-coeff", "str-coeff", "zero-coeff", "negative-coeff",
+            "no-coeff", "no-atoms", "extra-key", "entry-not-dict", "value-not-list",
+            "atoms-not-list", "bool-gen", "str-gen", "two-kinds", "app-not-list",
+            "app-dict", "float-coeff-in-app"])
+    def test_malformed_objects_raise_value_error(self, obj):
+        # only the shapes nf_to_obj emits read back; no float enters a value
+        with pytest.raises(ValueError):
+            nf_from_obj(N1, obj)
+
     def test_equal_values_export_equal_bytes(self):
         a, b = nf("(x[1]+1)*(x[1]+1)"), nf("x[1]*x[1]+2*x[1]+1")
         assert json.dumps(nf_to_obj(a)) == json.dumps(nf_to_obj(b))

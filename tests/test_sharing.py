@@ -26,8 +26,7 @@ import weakref
 import pytest
 
 from rigdiff.carrier import (
-    FreeMonoid, MonoidElem, MonoidHom, MonomialBasis, TensorElem, mul_items,
-    tensor_bimap,
+    FreeMonoid, MonoidElem, MonoidHom, MonomialBasis, TensorElem, tensor_bimap,
 )
 from rigdiff.cli import main
 from rigdiff.derive import d_n
@@ -36,8 +35,9 @@ from rigdiff.gen import random_term_rng
 from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate, mu, unit
 from rigdiff.normal import (
     AppAtom, GenAtom, Monomial, apply_functor, as_monoid_element,
-    from_monoid_element, mono_mul, nf_add, nf_from_monomial, nf_from_obj, nf_mul,
-    nf_scale, nf_selfmap, nf_to_obj, nf_var, normalize, render_nf, tensor_to_obj,
+    from_monoid_element, mono_mul, mul_items, nf_add, nf_from_monomial, nf_from_obj,
+    nf_mul, nf_scale, nf_selfmap, nf_to_obj, nf_var, normalize, render_nf,
+    tensor_to_obj,
 )
 from rigdiff.text import emit_nf, parse, render_tensor
 
