@@ -259,19 +259,34 @@ def elem_as_tensor(a: MonoidElem) -> TensorElem:
 
 # A product of sorted maps joins their keys end to end in loop order: the
 # joined keys are distinct and already sorted, so nothing merges or sorts.
+# The raw constructors check nothing, so each operand is checked once.
+
+def _operand(a: CoeffMap) -> tuple:
+    """``a``'s items, once its keys lie in its tag's basis (else
+    CarrierMismatch) and strictly increase (else ValueError)."""
+    items = a.items
+    a._check_keys(a.tag, items)
+    if len(items) > 1:
+        order = list(map(a._item_order, items))
+        if any(map(operator.ge, order, order[1:])):
+            raise ValueError("operand keys are not strictly increasing")
+    return items
+
 
 def tensor_pure(elems: Sequence[MonoidElem]) -> TensorElem:
     """Tensor of elements, expanded multilinearly over their coefficient maps."""
     items = (((), 1),)
     for e in elems:
-        items = tuple((k1 + (k2,), c1 * c2) for k1, c1 in items for k2, c2 in e.items)
+        e_items = _operand(e)
+        items = tuple((k1 + (k2,), c1 * c2) for k1, c1 in items for k2, c2 in e_items)
     return TensorElem(tuple(e.carrier for e in elems), items)
 
 
 def tensor_concat(a: TensorElem, b: TensorElem) -> TensorElem:
     """Tensor product of two tensor elements (factor lists concatenate)."""
+    a_items, b_items = _operand(a), _operand(b)
     return TensorElem(a.factors + b.factors, tuple(
-        (k1 + k2, c1 * c2) for k1, c1 in a.items for k2, c2 in b.items))
+        (k1 + k2, c1 * c2) for k1, c1 in a_items for k2, c2 in b_items))
 
 
 def tensor_permute(a: TensorElem, perm: Sequence[int]) -> TensorElem:

@@ -24,28 +24,34 @@ def d_n(a: NormalForm, n: int) -> TensorElem:
 
     Within one call each distinct operation argument is differentiated
     once, at its first occurrence; later occurrences, at any depth, reuse
-    that derivative."""
+    that derivative.  Only the whole value's derivative becomes a tensor,
+    sorted once."""
     if n < 0:
         raise ValueError("the family is indexed by naturals")
-    return _d_n(a, n, ArgumentMemo(lambda v, memo: _d_n(v, n, memo)))
+    grouped = _d_n(a, n, ArgumentMemo(lambda v, memo: _d_n(v, n, memo)))
+    return TensorElem.from_dict((MonomialBasis(a.carrier), a.carrier), {
+        (rest, gen): c for rest, gens in grouped.items() for gen, c in gens.items()})
 
 
-def _d_n(a: NormalForm, n: int, memo: ArgumentMemo) -> TensorElem:
-    """``d_n`` with the call's memo (argument -> derivative)."""
-    carrier = a.carrier
-    factors = (MonomialBasis(carrier), carrier)
-    acc: dict[tuple, int] = {}
+def _d_n(a: NormalForm, n: int, memo: ArgumentMemo) -> dict:
+    """``d_n`` grouped by monomial, as {rest: {generator: coeff}}, with the
+    call's memo (argument -> its derivative, grouped).  A rest is
+    multiplied once by each distinct monomial of an argument's derivative,
+    not once per generator beside it."""
+    acc: dict = {}
     for mono, c in a.items:
         for atom, mult in mono.atom_counts():
             rest = mono.without(atom)
             if isinstance(atom, GenAtom):
-                key = (rest, atom.index)
-                acc[key] = acc.get(key, 0) + c * mult
+                gens = acc.setdefault(rest, {})
+                gens[atom.index] = gens.get(atom.index, 0) + c * mult
             elif n != 0:
-                for (part, gen), c2 in memo[atom.argument].items:
-                    key = (mono_mul(rest, part), gen)
-                    acc[key] = acc.get(key, 0) + c * mult * n * c2
-    return TensorElem.from_dict(factors, acc)
+                w = c * mult * n
+                for part, part_gens in memo[atom.argument].items():
+                    gens = acc.setdefault(mono_mul(rest, part), {})
+                    for gen, c2 in part_gens.items():
+                        gens[gen] = gens.get(gen, 0) + w * c2
+    return acc
 
 
 def sym_derive(a: NormalForm) -> TensorElem:

@@ -8,15 +8,21 @@ normalization, so no atom ever mentions a composite carrier element, and two
 expressions denote the same rig value exactly when their canonical forms are
 structurally equal.
 
-Every object has an ``order_key``: a nested tuple that both totally orders
-values of the same shape and encodes them injectively, so sorting and
-equality are deterministic.  Equal operation atoms are one object
-(hash-consing), so their keys are one tuple wherever they are nested, and
-comparing two equal values stops at identity one atom deep.  An operation
-atom's key is ``(1, argument key, h)``, a tuple that hashes as the stored
-``h``: a monomial or value hashes each atom key in constant time, so hashing
-a nested value does not walk its depth.  Sorting is as without ``h``, which
-a comparison reaches only when the two argument keys are equal.
+Every object has an ``order_key``: a tuple that both totally orders values
+of the same shape and encodes them injectively, so sorting and equality are
+deterministic.  Equal operation atoms are one object (hash-consing), and an
+operation atom's key is ``(1, label)``.  The label is a short int tuple
+that starts with its carrier's number and sorts among the labels of that
+carrier's live atoms as the atom's argument key sorts among theirs (order
+maintenance over the intern table).  So atom, monomial and value keys are a
+few tuple levels deep at any nesting depth, and no sort, bisection, hash or
+equality walks a nested argument.  Each carrier keeps its live atoms'
+argument keys and labels in one sorted table; keys of different carriers
+are never compared.  A new atom's label lies strictly between its
+neighbours' labels (an atom greater than every live one appends), and a
+label never changes while its atom lives; a dead atom's row leaves the
+table with it.  Labels depend on the order atoms were made in, so hashes of
+values are stable only within a process.
 
 Products and remainders of monomials are built from their operands' sorted
 atoms and keys: a one-atom factor is inserted by bisection and a removed
@@ -67,17 +73,52 @@ class GenAtom(Atom):
         return f"GenAtom({self.index!r})"
 
 
-class _AtomKey(tuple):
-    """An operation atom's order key ``(1, argument key, h)``, hashed as h."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return self[2]
-
-
 # argument -> weak reference to its live atom; an entry leaves when its atom dies
-_app_atoms: dict["NormalForm", weakref.ref] = {}
+_app_atoms: dict["NormalForm", "_AtomRef"] = {}
+# carrier -> (argument keys, labels) of its live atoms, both sorted, and
+# the number that starts each of its labels
+_labels: dict[Carrier, tuple[list, list, int]] = {}
+# label ints after the second lie in [0, _SPAN)
+_SPAN = 1 << 30
+
+
+def _label_between(lo: tuple | None, hi: tuple) -> tuple:
+    """A label strictly between ``lo`` (None: below every label) and ``hi``.
+
+    Labels are int tuples of any length, compared as tuples.  The first
+    int names the carrier, so atoms of different carriers never share a
+    key; the second is any int; later ones lie in [0, _SPAN), and a label
+    never ends in 0, so every gap holds another label.  The result copies
+    ``lo`` until a midpoint fits below ``hi``'s int, taking 0 past
+    ``lo``'s end; once it is below ``hi``, the bound above is ``_SPAN``."""
+    if lo is None:
+        return (hi[0], hi[1] - 1)
+    out = []
+    for i in itertools.count():
+        a = lo[i] if i < len(lo) else 0
+        b = _SPAN if hi is None else hi[i]
+        if b - a >= 2:
+            return (*out, (a + b) // 2)
+        out.append(a)
+        if b != a:
+            hi = None
+
+
+class _AtomRef(weakref.ref):
+    """A weak reference to an interned atom, with its argument, its label
+    and its carrier's table."""
+
+    __slots__ = ("argument", "label", "table")
+
+
+def _forget(ref: _AtomRef) -> None:
+    """Remove a dead atom's intern entry and its label row, and only those:
+    an equal atom may have been made again before this runs."""
+    if _app_atoms.get(ref.argument) is ref:
+        del _app_atoms[ref.argument]
+    keys, labels, _ = ref.table
+    i = bisect_left(labels, ref.label)
+    del keys[i], labels[i]
 
 
 class AppAtom(Atom):
@@ -95,10 +136,23 @@ class AppAtom(Atom):
         if atom is None:
             atom = object.__new__(cls)
             atom.argument = argument
-            atom._hash = h = hash((1, argument._hash))
-            atom.order_key = _AtomKey((1, argument.order_key, h))
-            _app_atoms[argument] = weakref.ref(
-                atom, functools.partial(_app_atoms.pop, argument))
+            atom._hash = hash((1, argument._hash))
+            key = argument.order_key
+            table = (_labels.get(argument.carrier)
+                     or _labels.setdefault(argument.carrier, ([], [], len(_labels))))
+            keys, labels, first = table
+            if not keys or key > keys[-1]:
+                label = (first, labels[-1][1] + 1) if labels else (first, 0)
+                keys.append(key)
+                labels.append(label)
+            else:
+                i = bisect_left(keys, key)
+                label = _label_between(labels[i - 1] if i else None, labels[i])
+                keys.insert(i, key)
+                labels.insert(i, label)
+            atom.order_key = (1, label)
+            ref = _app_atoms[argument] = _AtomRef(atom, _forget)
+            ref.argument, ref.label, ref.table = argument, label, table
         return atom
 
     def __repr__(self):
@@ -228,8 +282,7 @@ class NormalForm(CoeffMap):
         return any(isinstance(a, AppAtom) for m, _ in self.items for a in m.atoms)
 
     def __eq__(self, other):
-        # unequal hashes end almost every unequal comparison before the
-        # nested keys, whose comparison recurses along a shared deep prefix
+        # unequal hashes end almost every unequal comparison before the keys
         return (isinstance(other, NormalForm)
                 and self._hash == other._hash
                 and self.carrier == other.carrier

@@ -167,6 +167,27 @@ class TestTensorElem:
     def test_pure_of_zero_factor_is_zero(self):
         assert tensor_pure([e(N2, {0: 1}), MonoidElem.zero(N1)]).is_zero()
 
+    def test_products_check_each_operand(self):
+        # the raw constructors check nothing; the products check keys and order
+        good = e(N1, {0: 3})
+        x, xx = (Monomial([GenAtom(0)] * k) for k in (1, 2))
+        bad = [
+            (MonoidElem(N2, ((7, 1),)), CarrierMismatch, "generator index"),
+            (MonoidElem(N2, ((1, 1), (0, 2))), ValueError, "strictly increasing"),
+            (MonoidElem(N2, ((0, 1), (0, 2))), ValueError, "strictly increasing"),
+            (MonoidElem(MonomialBasis(N1), ((xx, 1), (x, 1))), ValueError, "strictly increasing"),
+        ]
+        for elem, error, match in bad:
+            for elems in ([elem], [good, elem], [MonoidElem.zero(N1), elem]):
+                with pytest.raises(error, match=match):
+                    tensor_pure(elems)
+            t, ok = elem_as_tensor(elem), elem_as_tensor(good)
+            for pair in ((t, ok), (ok, t)):
+                with pytest.raises(error, match=match):
+                    tensor_concat(*pair)
+        with pytest.raises(CarrierMismatch, match="key width"):
+            tensor_concat(TensorElem((N2,), (((0, 1), 1),)), elem_as_tensor(good))
+
     def test_concat_multiplies_coefficients(self):
         t = TensorElem.from_dict((N1,), {(0,): 2})
         s = TensorElem.from_dict((N2,), {(1,): 3})

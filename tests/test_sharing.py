@@ -30,7 +30,7 @@ from rigdiff.carrier import (
 )
 from rigdiff.cli import main
 from rigdiff.derive import d_n
-from rigdiff import normal, terms
+from rigdiff import derive, normal, terms
 from rigdiff.gen import random_term_rng
 from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate, mu, unit
 from rigdiff.normal import (
@@ -236,13 +236,26 @@ def test_selfmap_is_called_once_per_distinct_argument():
 
 def test_argument_is_differentiated_once(monkeypatch):
     p, a = fpp()
-    made = []
-    from_dict = TensorElem.from_dict
-    monkeypatch.setattr(TensorElem, "from_dict", classmethod(
-        lambda cls, *args: made.append(args) or from_dict(*args)))
+    differentiated = []
+    inner = derive._d_n
+    monkeypatch.setattr(derive, "_d_n",
+                        lambda v, *args: differentiated.append(v) or inner(v, *args))
     d_n(a, 2)
-    # one tensor for p, one for the whole value
-    assert len(made) == 2
+    # the whole value, and inside it p once, at its first occurrence
+    assert differentiated == [a, p]
+
+
+def test_each_rest_meets_each_distinct_monomial_once(monkeypatch):
+    p, a = fpp()
+    calls = []
+    monkeypatch.setattr(derive, "mono_mul",
+                        lambda *args: calls.append(1) or mono_mul(*args))
+    d = d_n(a, 1)
+    parts = {part for (part, _), _ in d_n(p, 1).items}
+    assert len(parts) == 10 and len(d_n(p, 1).items) == 20
+    # a's 15 rests times d(p)'s 10 distinct monomials, not its 20 items
+    assert len(calls) == len(a.items) * len(parts) == 150
+    assert d == ref_d_n(a, 1)
 
 
 def test_argument_is_rendered_once(monkeypatch):
@@ -520,6 +533,34 @@ def test_unequal_deep_towers_compare_without_recursion(depth):
     assert not v == w and v != w
 
 
+def tower(depth, bottom):
+    v = bottom
+    for _ in range(depth):
+        v = nf_selfmap(v)
+    return v
+
+
+@pytest.mark.parametrize("depth", [200, 1000])
+def test_different_deep_towers_add_multiply_and_derive(depth):
+    # The towers differ only at the bottom, and each value's key is a few
+    # tuple levels deep: sorting them walks no shared prefix.
+    x1 = nf_var(MonoidElem.generator(N2, 1))
+    v, w = tower(depth, x1), tower(depth, nf_scale(x1, 2))
+    [(mv, _)], [(mw, _)] = v.items, w.items
+    text_v = "f(" * depth + "x[1]" + ")" * depth
+    text_w = text_v.replace("x[1]", "2*x[1]")
+    total, prod = nf_add(v, w), nf_mul(v, w)
+    assert total.items == ((mv, 1), (mw, 1)) and nf_add(w, v) == total
+    assert prod.items == ((mono_mul(mv, mw), 1),) and nf_mul(w, v) == prod
+    assert render_nf(total) == f"{text_v} + {text_w}"
+    assert render_nf(prod) == f"{text_v}*{text_w}"
+    # d_1(v*w) = w ⊗ d_1(x[1]) + v ⊗ d_1(2*x[1])
+    assert d_n(prod, 1).items == (((mv, 1), 2), ((mw, 1), 1))
+    phi = {0: 0, 1: 5}
+    assert evaluate(total, CATALOG["successor"], phi) == 2 * depth + 15
+    assert evaluate(prod, CATALOG["successor"], phi) == (depth + 5) * (depth + 10)
+
+
 def test_deep_tower_builds_in_linear_time():
     # Each level hashes its argument once, in constant time; a hash that
     # walked the whole argument would make this build quadratic.
@@ -529,20 +570,67 @@ def test_deep_tower_builds_in_linear_time():
     assert time.perf_counter() - start < 1
 
 
+def table_sizes():
+    """The intern table's entries and the label tables' rows."""
+    return len(normal._app_atoms), sum(len(keys) for keys, _, _ in normal._labels.values())
+
+
 def test_intern_table_forgets_dropped_atoms():
-    # The table refers to its atoms weakly, and an entry leaves with its
-    # atom when the atom's last value is freed: no collector run is needed.
-    before = len(normal._app_atoms)
+    # The tables refer to their atoms weakly, and an entry and a label row
+    # leave with their atom when its last value is freed: no collector run
+    # is needed.
+    before = table_sizes()
     gc.disable()
     try:
         p, a = fpp()
         v, d = api_tower(100), d_n(a, 1)
         assert render_tensor(d) and mu(unit(as_monoid_element(a))) == a
-        assert len(normal._app_atoms) > before
+        entries, rows = table_sizes()
+        assert entries > before[0] and rows - before[1] == entries - before[0]
         del p, a, v, d
-        assert len(normal._app_atoms) == before
+        assert table_sizes() == before
     finally:
         gc.enable()
+
+
+def test_a_dead_atom_spares_an_equal_atom_made_before_its_callback():
+    # The collector clears every weak reference into its garbage before it
+    # runs any callback, so the probe's callback may make f(arg) again
+    # while the old atom's entry and label row are still in the tables.
+    class Holder:
+        pass
+
+    arg = nf_scale(nf_var(MonoidElem.generator(N2, 1)), 4321)
+    before = table_sizes()
+    holder, made = Holder(), []
+    holder.cycle, holder.atom = holder, AppAtom(arg)
+    probe = weakref.ref(holder, lambda _: made.append(AppAtom(arg)))
+    del holder
+    gc.collect()
+    assert probe() is None
+    [atom] = made
+    assert AppAtom(arg) is atom and normal._app_atoms[arg]() is atom
+    assert table_sizes() == (before[0] + 1, before[1] + 1)
+    del made, atom
+    assert table_sizes() == before
+
+
+def test_atoms_over_different_carriers_differ():
+    # Each carrier labels its own atoms; the labels of two carriers differ.
+    v = nf_selfmap(nf_var(MonoidElem.generator(N1, 0)))
+    w = nf_selfmap(nf_var(MonoidElem.generator(N2, 1)))
+    [(mv, _)], [(mw, _)] = v.items, w.items
+    assert mv.atoms[0] != mw.atoms[0] and mv != mw and v != w
+
+
+def test_labels_never_run_out():
+    # Each atom lands in the gap that the two before it left.
+    x1 = nf_var(MonoidElem.generator(N2, 1))
+    ks = [k for pair in zip(range(1, 501), range(1000, 500, -1)) for k in pair]
+    atoms = [AppAtom(nf_scale(x1, k)) for k in ks]
+    by_label = sorted(atoms, key=operator.attrgetter("order_key"))
+    assert by_label == sorted(atoms, key=ref_key)
+    assert [x.argument.items[0][1] for x in by_label] == list(range(1, 1001))
 
 
 def ref_key(x):
@@ -557,7 +645,8 @@ def ref_key(x):
     return tuple((ref_key(m), c) for m, c in x.items)
 
 
-@pytest.mark.parametrize("carrier", [N2, L2], ids=["level1", "level2"])
+@pytest.mark.parametrize("carrier", [N2, L2, MonomialBasis(L2)],
+                         ids=["level1", "level2", "level3"])
 def test_keys_sort_like_plain_nested_keys(carrier):
     rng = random.Random(2468)
     order_key = operator.attrgetter("order_key")
