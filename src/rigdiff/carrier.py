@@ -35,8 +35,8 @@ class FreeMonoid:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"a carrier rank must be a natural, got {self.rank}")
+        if type(self.rank) is not int or self.rank < 0:
+            raise ValueError(f"a carrier rank must be a natural, got {self.rank!r}")
 
     @property
     def level(self) -> int:

@@ -71,8 +71,10 @@ def mu(a: NormalForm) -> NormalForm:
     values; the level-2 unary operation becomes the level-1 one.  This is
     a fresh ``_extension`` with each generator sent to its monomial, so
     within one call each distinct operation argument is collapsed once
-    (innermost first, without recursion) and each distinct prefix of a
-    monomial's atoms is expanded once.
+    (innermost first, without recursion), each distinct prefix of a
+    monomial's atoms is expanded once, by adding packed exponent ints, and
+    each distinct result monomial is built once; a generator's own monomial
+    is returned as it is.
     """
     if not isinstance(a.carrier, MonomialBasis):
         raise CarrierMismatch(f"mu needs a level >= 2 value, got one over {a.carrier}")

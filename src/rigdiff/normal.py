@@ -27,7 +27,8 @@ values are stable only within a process.
 Products and remainders of monomials are built from their operands' sorted
 atoms and keys: a one-atom factor is inserted by bisection and a removed
 atom is sliced out.  Only products of two many-atom operands are sorted
-again, and every result equals the stable sort's.
+again, and every result equals the stable sort's.  Rig maps
+(``apply_functor``, ``mu``) multiply packed exponent keys instead.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import operator
 import reprlib
 import weakref
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 from .carrier import (
     Carrier, CarrierMismatch, CoeffMap, MonoidElem, MonoidHom, MonomialBasis,
@@ -425,6 +426,35 @@ def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
             return value
 
 
+# A packed key is (e, ops): e is an int with one _FIELD-bit exponent field per
+# codomain generator that a map has met, wider than any exponent of a monomial
+# that fits in memory, and ops is the sorted tuple of the operation atoms'
+# keys.  The product of two packed keys adds their ints and merges their ops.
+_FIELD = 64
+_MASK = (1 << _FIELD) - 1
+_FIRST_OP = (1,)  # above every generator atom's key, below every operation atom's
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The sorted merge of two sorted tuples of atom keys; a one-key ``b``
+    (an operation atom's image) is inserted by bisection."""
+    if len(b) == 1:
+        i = bisect_right(a, b[0])
+        return a[:i] + b + a[i:]
+    return tuple(sorted(a + b))
+
+
+def _packed_mul(a: Iterable[tuple[tuple, int]], b: Collection[tuple[tuple, int]]) -> dict:
+    """The product of two (packed key, coeff) sequences as a dict: one int
+    addition per pair of terms, and a merge where both have operation atoms."""
+    out: dict = {}
+    for (e1, o1), c1 in a:
+        for (e2, o2), c2 in b:
+            key = e1 + e2, _merge(o1, o2) if o2 else o1
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
 def _extension(domain: Carrier, codomain: Carrier,
                gen_image: Callable[[Any], Sequence[tuple[Monomial, int]]]
                ) -> Callable[[NormalForm], NormalForm]:
@@ -433,53 +463,100 @@ def _extension(domain: Carrier, codomain: Carrier,
     carries the unary operation along.
 
     Monomials that share a prefix of their sorted atoms share its image: a
-    trie of the prefixes met holds one product per distinct prefix, each one
-    ``mul_items`` of its parent's product by one atom image, so
-    ``gen_image`` runs once per distinct prefix that ends in a generator.
-    Each distinct operation argument is mapped once (innermost first,
-    without recursion).  The trie and the argument memo live as long as the
-    returned map, so every call of it shares them.  Each value's images are
-    added into one dict that is sorted once."""
-    root: tuple[dict, dict] = ({ONE_MONOMIAL: 1}, {})  # (product, children)
+    trie of the prefixes met holds one product per distinct prefix.  A
+    one-atom prefix's product is its atom's image, and a longer prefix's is
+    the ``_packed_mul`` of its parent's product by the image of its last
+    atom.  Products are keyed by packed keys, so multiplying two terms adds
+    two ints.  ``gen_image`` runs and its monomials are packed once per
+    generator, and each distinct operation argument is mapped once
+    (innermost first, without recursion).  Each distinct result key becomes
+    a monomial once, and an image's own monomial is returned as it is.  All
+    of this lives as long as the returned map, so every call of it shares
+    it.  Each value's images are added into one dict that is sorted once."""
+    top: dict = {}  # children of the root: atom -> (its image, children)
+    root = ({(0, ()): 1}, top)  # (product, children) of the empty prefix
+    shifts: dict = {}  # generator atom key -> offset of its exponent field
+    atoms: dict = {}  # atom key -> codomain atom; held, so no label is reused
+    monos = {(0, ()): ONE_MONOMIAL}  # packed key -> its monomial
+
+    def image(atom: Atom, memo: ArgumentMemo) -> dict:
+        if not isinstance(atom, GenAtom):
+            return memo[atom.argument]
+        img = {}
+        for mono, c in gen_image(atom.index):
+            keys = mono.order_key[1]
+            i = bisect_left(keys, _FIRST_OP)
+            e = j = 0
+            while j < i:  # one step per run of equal generator keys
+                k = keys[j]
+                end = bisect_right(keys, k, j, i)
+                shift = shifts.get(k)
+                if shift is None:
+                    shift = shifts[k] = _FIELD * len(shifts)
+                    atoms[k] = mono.atoms[j]
+                e += end - j << shift
+                j = end
+            key = e, keys[i:]
+            if key[1]:
+                atoms.update(zip(key[1], mono.atoms[i:]))
+            img[key] = c
+            monos[key] = mono
+        return img
 
     def expand(v: NormalForm, memo: ArgumentMemo) -> NormalForm:
         if v.carrier != domain:
             raise CarrierMismatch(f"value over {v.carrier} fed to a map from {domain}")
-        acc: dict[Monomial, int] = {}
+        acc: dict = {}
         for mono, c in v.items:
             prod, children = root
             for atom in mono.atoms:
                 node = children.get(atom)
                 if node is None:
-                    if isinstance(atom, GenAtom):
-                        img = gen_image(atom.index)
-                    else:
-                        img = memo[atom.argument]
-                    node = children[atom] = (mul_items(prod.items(), img), {})
+                    node = top.get(atom)
+                    if node is None:
+                        node = top[atom] = (image(atom, memo), {})
+                    if children is not top:
+                        node = children[atom] = (_packed_mul(prod.items(), node[0].items()), {})
                 prod, children = node
             add_scaled(acc, prod.items(), c)
-        return NormalForm.from_dict(codomain, acc)
+        items = []
+        for key, c in acc.items():
+            mono = monos.get(key)
+            if mono is None:
+                e, ops = key
+                keys = []
+                for k, shift in shifts.items():
+                    n = e >> shift & _MASK
+                    if n:
+                        keys += [k] * n
+                keys.sort()
+                keys += ops
+                mono = monos[key] = _sorted_monomial(tuple(map(atoms.__getitem__, keys)),
+                                                     tuple(keys))
+            items.append((mono, c))
+        items.sort(key=NormalForm._item_order)
+        return NormalForm(codomain, tuple(items))
 
-    # operation argument -> image items of its atom
-    memo = ArgumentMemo(lambda arg, memo: nf_selfmap(expand(arg, memo)).items)
+    def apply(arg: NormalForm, memo: ArgumentMemo) -> dict:
+        atom = AppAtom(expand(arg, memo))
+        atoms[atom.order_key] = atom
+        return {(0, (atom.order_key,)): 1}
+
+    memo = ArgumentMemo(apply)  # operation argument -> image of its atom
     return lambda a: expand(a, memo)
 
 
 @functools.lru_cache(maxsize=1)
 def _induced(h: MonoidHom) -> Callable[[NormalForm], NormalForm]:
     """``h``'s rig map.  The cache holds the last hom (compared by identity)
-    and its map, so consecutive calls with one hom share a trie and memo."""
-    images: dict = {}  # generator index -> image items
-
+    and its map, so consecutive calls with one hom share a trie and memo;
+    the map asks for each generator's image once."""
     def gen_image(key):
-        img = images.get(key)
-        if img is None:
-            img = h.image_of(key)
-            if img.carrier != h.codomain:
-                raise CarrierMismatch(f"carrier mismatch: {h.codomain} vs {img.carrier}")
-            MonoidElem._check_keys(img.carrier, img.items)
-            img = images[key] = nf_var(img).items
-        return img
+        img = h.image_of(key)
+        if img.carrier != h.codomain:
+            raise CarrierMismatch(f"carrier mismatch: {h.codomain} vs {img.carrier}")
+        MonoidElem._check_keys(img.carrier, img.items)
+        return nf_var(img).items
 
     return _extension(h.domain, h.codomain, gen_image)
 
@@ -490,10 +567,12 @@ def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
     Generator atoms map to the variables of their images and the unary
     operation is carried along; the result is again canonical.  This is
     ``_extension``, so each distinct prefix of a monomial's atoms is
-    expanded once and ``h.image_of`` runs once per distinct generator, not
-    only within one call but across consecutive calls with the same ``h``:
-    the last hom and its map stay alive until a call with another hom.  So
-    ``h.image_of`` must be a function of its input.
+    expanded once, by adding packed exponent ints, ``h.image_of`` runs once
+    per distinct generator and each distinct result monomial is built once,
+    not only within one call but across consecutive calls with the same
+    ``h``: the last hom and its map stay alive until a call with another
+    hom, and those calls return one object per monomial.  So ``h.image_of``
+    must be a function of its input.
     """
     return _induced(h)(a)
 

@@ -29,7 +29,7 @@ from rigdiff.normal import (
     render_nf,
 )
 from rigdiff.text import parse
-from test_sharing import f_dense_value
+from test_sharing import f_dense_value, lifted_hom
 
 N1, N2, N3 = FreeMonoid(1), FreeMonoid(2), FreeMonoid(3)
 COLLIDE = MonoidHom.from_matrix(N2, N1, [[1], [1]])
@@ -107,12 +107,6 @@ def naturality_maps(h):
     return [(lambda mono: as_monoid_element(
                 apply_functor(h, nf_from_monomial(h.domain, mono))), (cod2,)),
             (h.image_of, (h.codomain,))]
-
-
-def lifted_hom(h):
-    """h one level up: a hom between the monomial-basis carriers."""
-    return MonoidHom(MonomialBasis(h.domain), MonomialBasis(h.codomain),
-                     naturality_maps(h)[0][0])
 
 
 # --- agreement on seeded inputs --------------------------------------------

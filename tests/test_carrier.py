@@ -23,8 +23,10 @@ def e(carrier, coeffs):
 
 
 def test_rank_must_be_a_natural():
-    with pytest.raises(ValueError, match="natural, got -3"):
-        FreeMonoid(-3)
+    # the rule check_key applies to generator indices: an int, not a bool
+    for rank in (-3, 2.5, 2.0, True, False, "3", None):
+        with pytest.raises(ValueError, match=f"natural, got {rank!r}"):
+            FreeMonoid(rank)
     assert MonoidElem.zero(FreeMonoid(0)).is_zero()  # rank 0 stays legal
 
 

@@ -34,8 +34,8 @@ from rigdiff import derive, normal, terms
 from rigdiff.gen import random_term_rng
 from rigdiff.modality import CATALOG, RigWithSelfMap, evaluate, mu, unit
 from rigdiff.normal import (
-    AppAtom, GenAtom, Monomial, apply_functor, as_monoid_element,
-    from_monoid_element, mono_mul, mul_items, nf_add, nf_from_monomial, nf_from_obj,
+    AppAtom, GenAtom, Monomial, NormalForm, apply_functor, as_monoid_element,
+    from_monoid_element, mono_mul, nf_add, nf_from_monomial, nf_from_obj,
     nf_mul, nf_scale, nf_selfmap, nf_to_obj, nf_var, normalize, render_nf,
     tensor_to_obj,
 )
@@ -158,6 +158,29 @@ def ref_tensor_to_obj(t):
     }
 
 
+def ref_extension(a, codomain, gen_value):
+    """The rig map that sends generator k to ``gen_value(k)``: each monomial
+    multiplied out atom by atom with ``mono_mul``, each argument mapped
+    again at every occurrence."""
+    acc = {}
+    for mono, c in a.items:
+        terms = {Monomial(()): c}
+        for atom in mono.atoms:
+            if isinstance(atom, GenAtom):
+                img = gen_value(atom.index)
+            else:
+                img = nf_selfmap(ref_extension(atom.argument, codomain, gen_value))
+            product = {}
+            for m1, c1 in terms.items():
+                for m2, c2 in img.items:
+                    m = mono_mul(m1, m2)
+                    product[m] = product.get(m, 0) + c1 * c2
+            terms = product
+        for m, c1 in terms.items():
+            acc[m] = acc.get(m, 0) + c1
+    return NormalForm.from_dict(codomain, acc)
+
+
 # --- seeded f-dense values -------------------------------------------------
 
 def f_dense_value(rng, carrier):
@@ -197,6 +220,65 @@ def test_engine_agrees_with_recursive_references(carrier):
             assert d == ref_d_n(a, n)
             assert render_tensor(d) == ref_render_tensor(d)
             assert tensor_to_obj(d) == ref_tensor_to_obj(d)
+
+
+def lifted_hom(h):
+    """h one level up: a hom between the monomial-basis carriers."""
+    return MonoidHom(MonomialBasis(h.domain), MonomialBasis(h.codomain),
+                     lambda m: as_monoid_element(apply_functor(h, nf_from_monomial(h.domain, m))))
+
+
+def squared(a):
+    """a*a + 2*a: exponents and coefficients above 1."""
+    return nf_add(nf_mul(a, a), nf_scale(a, 2))
+
+
+def test_apply_functor_and_mu_agree_with_recursive_references():
+    rng = random.Random(4343)
+    h = MonoidHom.from_matrix(N2, FreeMonoid(3), [[1, 2, 0], [0, 1, 3]])
+    level2, level3 = MonomialBasis(N2), MonomialBasis(MonomialBasis(N2))
+    seen = set()
+    for _ in range(30):
+        a = squared(f_dense_value(rng, N2))
+        # level-2 generators named by a's monomials, two to a monomial, so
+        # that images with f atoms and powers multiply each other
+        y = unit(as_monoid_element(a))
+        for hom, v in ((h, a), (lifted_hom(h), squared(f_dense_value(rng, level2))),
+                       (None, nf_mul(y, nf_add(y, f_dense_value(rng, level2)))),
+                       (None, squared(f_dense_value(rng, level3)))):
+            for m, c in v.items:
+                seen.update((v.carrier.level, shape) for shape, present in (
+                    ("f", any(isinstance(x, AppAtom) for x in m.atoms)),
+                    ("exponent > 1", any(n > 1 for _, n in m.atom_counts())),
+                    ("coefficient > 1", c > 1)) if present)
+            if hom is not None:
+                assert apply_functor(hom, v) == ref_extension(
+                    v, hom.codomain, lambda k: nf_var(hom.image_of(k)))
+            if v.carrier.level > 1:
+                base = v.carrier.base
+                assert mu(v) == ref_extension(v, base, lambda m: nf_from_monomial(base, m))
+    assert len(seen) == 9  # each shape at each level
+
+
+def test_operation_free_images_build_each_monomial_once(monkeypatch):
+    p, _ = fpp()
+    # generator images with no monomial in common: x0 + 2*x1 and 3*x2
+    h = MonoidHom.from_matrix(N2, FreeMonoid(3), [[1, 2, 0], [0, 0, 3]])
+    products, built = [], []
+    monkeypatch.setattr(normal, "mono_mul", lambda *args: products.append(args) or mono_mul(*args))
+    build = normal._sorted_monomial
+    monkeypatch.setattr(normal, "_sorted_monomial",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    q = apply_functor(h, p)
+    assert len(q.items) == 35 and not products
+    # the images' three monomials and every other monomial of h(p) but 1,
+    # each built once and used as it is
+    assert sorted(map(id, built)) == sorted(id(m) for m, _ in q.items if m.atoms)
+    built.clear()
+    parts = [apply_functor(h, nf_from_monomial(N2, mono)) for mono, _ in p.items]
+    assert not built and not products
+    objects = {id(m) for m, _ in q.items}
+    assert all(id(m) in objects for part in parts for m, _ in part.items)
 
 
 # --- the same argument at two levels ---------------------------------------
@@ -339,12 +421,15 @@ def test_consecutive_calls_with_one_hom_share_their_products(monkeypatch):
     p, _ = fpp()
     h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 1]])
     calls = []
-    monkeypatch.setattr(normal, "mul_items",
-                        lambda *args: calls.append(1) or mul_items(*args))
+    product = normal._packed_mul
+    monkeypatch.setattr(normal, "_packed_mul",
+                        lambda *args: calls.append(1) or product(*args))
     whole = apply_functor(h, p)
-    assert len(calls) == len(p.items) - 1  # one product per distinct prefix
+    # one product per distinct prefix; a one-atom prefix's is its atom's image
+    prefixes = {m.atoms[:i] for m, _ in p.items for i in range(2, len(m.atoms) + 1)}
+    assert len(calls) == len(prefixes) == len(p.items) - 3
     parts = [apply_functor(h, nf_from_monomial(N2, mono)) for mono, _ in p.items]
-    assert len(calls) == len(p.items) - 1  # every image is already in the trie
+    assert len(calls) == len(prefixes)  # every image is already in the trie
     total = functools.reduce(nf_add, (nf_scale(v, c) for v, (_, c) in zip(parts, p.items)))
     assert total == whole
 
@@ -435,6 +520,34 @@ def test_deep_towers_built_through_the_api():
     assert mu(unit(as_monoid_element(v))) == v
     assert mu(lifted) == v  # lifted is g(g(...y[x[0]]...))
     assert time.perf_counter() - start < 5
+
+
+def test_operation_atoms_never_widen_packed_ints(monkeypatch):
+    # A product in the rig-map trie adds the ints of two packed keys, which
+    # hold one exponent field per generator; operation atoms sit in a tuple
+    # beside the int.  So on a tower v <- f(v)*x + x every int stays one
+    # field wide, and mapping the tower is linear in its depth.
+    depth = 3000
+    x = nf_var(MonoidElem.generator(N1, 0))
+    y = unit(as_monoid_element(x))
+    v, w, u = x, nf_scale(x, 2), y
+    for _ in range(depth):
+        v = nf_add(nf_mul(nf_selfmap(v), x), x)
+        w = nf_add(nf_mul(nf_selfmap(w), nf_scale(x, 2)), nf_scale(x, 2))
+        u = nf_add(nf_mul(nf_selfmap(u), y), y)  # g(...) * y[x[0]] + y[x[0]]
+    widths = []
+    product = normal._packed_mul
+
+    def recording(a, b):
+        out = product(a, b)
+        widths.extend(e.bit_length() for e, _ in out)
+        return out
+
+    monkeypatch.setattr(normal, "_packed_mul", recording)
+    assert apply_functor(MonoidHom.from_matrix(N1, N1, [[2]]), v) == w
+    assert mu(u) == v
+    # one product per level and map, for the prefix x*f(...)
+    assert len(widths) == 2 * depth and max(widths) <= normal._FIELD
 
 
 # --- hash-consed operation atoms -------------------------------------------
