@@ -86,7 +86,8 @@ class CoeffMap:
     tag = property(operator.attrgetter("carrier"))
 
     # (tag, items) -> None; raises CarrierMismatch on a key outside the tag's
-    # basis.  None means the keys are not checked.
+    # basis (and MonoidElem's ValueError on a coefficient that is not a
+    # positive int).  None means the items are not checked.
     _check_keys: Callable[[Any, list], None] | None = None
 
     @staticmethod
@@ -155,8 +156,10 @@ class MonoidElem(CoeffMap):
 
     @staticmethod
     def _check_keys(carrier: Carrier, items: list) -> None:
-        for key, _ in items:
+        for key, c in items:
             carrier.check_key(key)
+            if type(c) is not int or c < 1:
+                raise ValueError(f"a coefficient must be a positive int, got {c!r}")
 
     @staticmethod
     def _item_order(item):
@@ -200,6 +203,9 @@ class MonoidHom:
         for row in rows:
             if len(row) != codomain.rank:
                 raise ValueError("row length must equal codomain rank")
+            for c in row:
+                if type(c) is not int or c < 0:
+                    raise ValueError(f"a matrix entry must be a natural, got {c!r}")
             images.append(MonoidElem.from_dict(codomain, dict(enumerate(row))))
         return MonoidHom(domain, codomain, lambda key: images[key])
 

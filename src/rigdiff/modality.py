@@ -19,7 +19,7 @@ from .carrier import (
     elem_as_tensor,
 )
 from .normal import (
-    ArgumentMemo, GenAtom, NormalForm, _extension, as_monoid_element,
+    AppAtom, ArgumentMemo, GenAtom, Monomial, NormalForm, as_monoid_element,
     mono_mul, nf_scale, nf_var, normalize,
 )
 from .terms import Term
@@ -68,17 +68,34 @@ def mu(a: NormalForm) -> NormalForm:
     """Collapse one construction level.
 
     Level-2 generator atoms name level-1 monomials and are read as those
-    values; the level-2 unary operation becomes the level-1 one.  This is
-    a fresh ``_extension`` with each generator sent to its monomial, so
-    within one call each distinct operation argument is collapsed once
-    (innermost first, without recursion), each distinct prefix of a
-    monomial's atoms is expanded once, by adding packed exponent ints, and
-    each distinct result monomial is built once; a generator's own monomial
-    is returned as it is.
+    values; the level-2 unary operation becomes the level-1 one.  So each
+    monomial collapses to one monomial, and nothing is expanded or packed
+    (only ``apply_functor`` packs keys): a lone generator gives the
+    monomial it names as it is, any other monomial one ``Monomial``, built
+    with one sort of its generators' atoms and its collapsed operation
+    atoms.  Within one call each distinct operation argument is collapsed
+    once (innermost first, without recursion).
     """
-    if not isinstance(a.carrier, MonomialBasis):
-        raise CarrierMismatch(f"mu needs a level >= 2 value, got one over {a.carrier}")
-    return _extension(a.carrier, a.carrier.base, lambda mono: ((mono, 1),))(a)
+    carrier = a.carrier
+    if not isinstance(carrier, MonomialBasis):
+        raise CarrierMismatch(f"mu needs a level >= 2 value, got one over {carrier}")
+
+    def collapse(v: NormalForm, memo: ArgumentMemo) -> NormalForm:
+        if v.carrier != carrier:
+            raise CarrierMismatch(f"value over {v.carrier} nested in a value over {carrier}")
+        acc: dict[Monomial, int] = {}
+        for mono, c in v.items:
+            atoms = mono.atoms
+            if len(atoms) == 1 and isinstance(atoms[0], GenAtom):
+                m = atoms[0].index
+            else:
+                m = Monomial([y for x in atoms for y in (
+                    x.index.atoms if isinstance(x, GenAtom) else (memo[x.argument],))])
+            acc[m] = acc.get(m, 0) + c
+        return NormalForm.from_dict(carrier.base, acc)
+
+    # the memo maps an operation argument to its collapsed operation atom
+    return collapse(a, ArgumentMemo(lambda v, memo: AppAtom(collapse(v, memo))))
 
 
 @dataclass(frozen=True)

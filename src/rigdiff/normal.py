@@ -27,8 +27,9 @@ values are stable only within a process.
 Products and remainders of monomials are built from their operands' sorted
 atoms and keys: a one-atom factor is inserted by bisection and a removed
 atom is sliced out.  Only products of two many-atom operands are sorted
-again, and every result equals the stable sort's.  Rig maps
-(``apply_functor``, ``mu``) multiply packed exponent keys instead.
+again, and every result equals the stable sort's.  ``apply_functor``
+multiplies packed exponent keys instead; ``mu`` collapses each monomial
+with one sort.
 """
 
 from __future__ import annotations
@@ -328,7 +329,7 @@ def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
 
 class ArgumentMemo(dict):
     """Results per operation argument for as long as the memo lives (one
-    walk, or every call of an ``_extension``): ``memo[arg]`` is
+    walk, or every call of a hom's rig map): ``memo[arg]`` is
     ``compute(arg, memo)``, computed once.  A miss first fills in every
     argument nested in ``arg`` that the memo lacks, innermost first, so
     ``compute(v, memo)`` finds each argument directly inside v as
@@ -432,47 +433,40 @@ def normalize(term: t.Term, carrier: Carrier) -> NormalForm:
 # keys.  The product of two packed keys adds their ints and merges their ops.
 _FIELD = 64
 _MASK = (1 << _FIELD) - 1
-_FIRST_OP = (1,)  # above every generator atom's key, below every operation atom's
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    """The sorted merge of two sorted tuples of atom keys; a one-key ``b``
-    (an operation atom's image) is inserted by bisection."""
-    if len(b) == 1:
-        i = bisect_right(a, b[0])
-        return a[:i] + b + a[i:]
-    return tuple(sorted(a + b))
 
 
 def _packed_mul(a: Iterable[tuple[tuple, int]], b: Collection[tuple[tuple, int]]) -> dict:
     """The product of two (packed key, coeff) sequences as a dict: one int
-    addition per pair of terms, and a merge where both have operation atoms."""
+    addition per pair of terms.  ``b`` is one atom's image, so its ops are
+    empty or one key, which is inserted by bisection."""
     out: dict = {}
     for (e1, o1), c1 in a:
         for (e2, o2), c2 in b:
-            key = e1 + e2, _merge(o1, o2) if o2 else o1
+            if o2:
+                i = bisect_right(o1, o2[0])
+                key = e1 + e2, o1[:i] + o2 + o1[i:]
+            else:
+                key = e1 + e2, o1
             out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
-def _extension(domain: Carrier, codomain: Carrier,
-               gen_image: Callable[[Any], Sequence[tuple[Monomial, int]]]
-               ) -> Callable[[NormalForm], NormalForm]:
-    """The rig map from values over ``domain`` to values over ``codomain``
-    that sends generator k to the value with items ``gen_image(k)`` and
-    carries the unary operation along.
+@functools.lru_cache(maxsize=1)
+def _induced(h: MonoidHom) -> Callable[[NormalForm], NormalForm]:
+    """``h``'s rig map: generator k goes to the variable of ``h.image_of(k)``
+    and the unary operation is carried along.  The cache holds the last hom
+    (compared by identity) and its map, so consecutive calls share all below.
 
     Monomials that share a prefix of their sorted atoms share its image: a
     trie of the prefixes met holds one product per distinct prefix.  A
     one-atom prefix's product is its atom's image, and a longer prefix's is
     the ``_packed_mul`` of its parent's product by the image of its last
-    atom.  Products are keyed by packed keys, so multiplying two terms adds
-    two ints.  ``gen_image`` runs and its monomials are packed once per
-    generator, and each distinct operation argument is mapped once
-    (innermost first, without recursion).  Each distinct result key becomes
-    a monomial once, and an image's own monomial is returned as it is.  All
-    of this lives as long as the returned map, so every call of it shares
-    it.  Each value's images are added into one dict that is sorted once."""
+    atom.  A generator's image is checked and packed once, one field per
+    codomain generator; each distinct operation argument is mapped once
+    (innermost first, without recursion), and each distinct result key
+    becomes a monomial once.  Each value's images are added into one dict
+    that is sorted once."""
+    domain, codomain = h.domain, h.codomain
     top: dict = {}  # children of the root: atom -> (its image, children)
     root = ({(0, ()): 1}, top)  # (product, children) of the empty prefix
     shifts: dict = {}  # generator atom key -> offset of its exponent field
@@ -482,26 +476,19 @@ def _extension(domain: Carrier, codomain: Carrier,
     def image(atom: Atom, memo: ArgumentMemo) -> dict:
         if not isinstance(atom, GenAtom):
             return memo[atom.argument]
-        img = {}
-        for mono, c in gen_image(atom.index):
-            keys = mono.order_key[1]
-            i = bisect_left(keys, _FIRST_OP)
-            e = j = 0
-            while j < i:  # one step per run of equal generator keys
-                k = keys[j]
-                end = bisect_right(keys, k, j, i)
-                shift = shifts.get(k)
-                if shift is None:
-                    shift = shifts[k] = _FIELD * len(shifts)
-                    atoms[k] = mono.atoms[j]
-                e += end - j << shift
-                j = end
-            key = e, keys[i:]
-            if key[1]:
-                atoms.update(zip(key[1], mono.atoms[i:]))
-            img[key] = c
-            monos[key] = mono
-        return img
+        img = h.image_of(atom.index)
+        if img.carrier != codomain:
+            raise CarrierMismatch(f"carrier mismatch: {codomain} vs {img.carrier}")
+        MonoidElem._check_keys(codomain, img.items)
+        packed = {}
+        for k, c in img.items:
+            gen = GenAtom(k)
+            shift = shifts.get(gen.order_key)
+            if shift is None:
+                shift = shifts[gen.order_key] = _FIELD * len(shifts)
+                atoms[gen.order_key] = gen
+            packed[1 << shift, ()] = c
+        return packed
 
     def expand(v: NormalForm, memo: ArgumentMemo) -> NormalForm:
         if v.carrier != domain:
@@ -546,33 +533,17 @@ def _extension(domain: Carrier, codomain: Carrier,
     return lambda a: expand(a, memo)
 
 
-@functools.lru_cache(maxsize=1)
-def _induced(h: MonoidHom) -> Callable[[NormalForm], NormalForm]:
-    """``h``'s rig map.  The cache holds the last hom (compared by identity)
-    and its map, so consecutive calls with one hom share a trie and memo;
-    the map asks for each generator's image once."""
-    def gen_image(key):
-        img = h.image_of(key)
-        if img.carrier != h.codomain:
-            raise CarrierMismatch(f"carrier mismatch: {h.codomain} vs {img.carrier}")
-        MonoidElem._check_keys(img.carrier, img.items)
-        return nf_var(img).items
-
-    return _extension(h.domain, h.codomain, gen_image)
-
-
 def apply_functor(h: MonoidHom, a: NormalForm) -> NormalForm:
     """Rig map induced by a carrier homomorphism.
 
     Generator atoms map to the variables of their images and the unary
-    operation is carried along; the result is again canonical.  This is
-    ``_extension``, so each distinct prefix of a monomial's atoms is
-    expanded once, by adding packed exponent ints, ``h.image_of`` runs once
-    per distinct generator and each distinct result monomial is built once,
-    not only within one call but across consecutive calls with the same
-    ``h``: the last hom and its map stay alive until a call with another
-    hom, and those calls return one object per monomial.  So ``h.image_of``
-    must be a function of its input.
+    operation is carried along; the result is again canonical.  Of the rig
+    maps only this one packs keys (``mu`` collapses each monomial with one
+    sort).  Its prefix products, generator images and result monomials are
+    shared across consecutive calls with the same ``h`` (see ``_induced``):
+    the last hom and its map stay alive until a call with another hom, and
+    those calls return one object per monomial.  So ``h.image_of`` must be
+    a function of its input.
     """
     return _induced(h)(a)
 

@@ -4,9 +4,10 @@ seeded_derivation, against reference folds and at their edge cases.
 Each reference below sums its result step by step with ``nf_add``,
 ``elem_add`` or ``tensor_add``, expanding every monomial and every input key
 on its own; the engine adds into one dict and builds the value once,
-sharing the products of common monomial prefixes (apply_functor, mu) and
-mapping one factor at a time (tensor_bimap).  Both must give structurally
-equal values.
+sharing the products of common monomial prefixes as packed keys
+(apply_functor, the only rig map that packs keys), collapsing each monomial
+with one sort (mu) and mapping one factor at a time (tensor_bimap).  Both
+must give structurally equal values.
 """
 
 import itertools

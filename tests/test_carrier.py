@@ -11,7 +11,9 @@ from rigdiff.carrier import (
     tensor_scale,
 )
 from rigdiff.gen import random_elem, random_hom
-from rigdiff.normal import GenAtom, Monomial, NormalForm, ONE_MONOMIAL, nf_add, nf_scale
+from rigdiff.normal import (
+    GenAtom, Monomial, NormalForm, ONE_MONOMIAL, apply_functor, nf_add, nf_scale, nf_var,
+)
 
 N1 = FreeMonoid(1)
 N2 = FreeMonoid(2)
@@ -99,6 +101,21 @@ class TestMonoidHom:
             MonoidHom.from_matrix(N2, N2, [[1, 0]])
         with pytest.raises(ValueError):
             MonoidHom.from_matrix(N2, N2, [[1], [0]])
+
+    def test_coefficients_must_be_positive_ints(self):
+        # a float, a bool or a string passes for a coefficient nowhere: not
+        # in a matrix, not in from_dict and not in a hom's images
+        for bad in (2.0, True, "3"):
+            with pytest.raises(ValueError, match=f"must be a natural, got {bad!r}"):
+                MonoidHom.from_matrix(N1, N1, [[bad]])
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match=f"positive int, got {bad!r}"):
+                e(N1, {0: bad})
+            with pytest.raises(ValueError, match=f"positive int, got {bad!r}"):
+                tensor_pure([MonoidElem(N1, ((0, bad),))])
+        float_image = MonoidHom(N1, N1, lambda k: MonoidElem(N1, ((0, 2.0),)))
+        with pytest.raises(ValueError, match="positive int, got 2.0"):
+            apply_functor(float_image, nf_var(e(N1, {0: 1})))
 
     def test_matrix_action(self):
         h = MonoidHom.from_matrix(N2, N2, [[1, 2], [0, 3]])

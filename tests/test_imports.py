@@ -81,3 +81,44 @@ def test_package_reads_every_private_name_it_defines():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert sum(map(len, map(private_definitions, sources.values()))) > 50
     assert unread_private_names(sources) == []
+
+
+# The rendering helpers that text.py takes from normal.py: the one place a
+# module shares its private names with a sibling.
+SHARED_PRIVATE = {("text.py", "normal", name) for name in (
+    "_APP_LETTERS", "_VAR_LETTERS", "_letter", "_render_memo", "_render_monomial",
+    "_render_nf")}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(source: str) -> set[tuple[str, str]]:
+    """(sibling module, private name) for each ``from .mod import _name``,
+    and each ``mod._name`` read of a sibling bound by ``from . import mod``."""
+    tree = ast.parse(source)
+    siblings, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif is_private(alias.name):
+                    found.add((node.module, alias.name))
+    found.update((siblings[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in siblings and is_private(node.attr))
+    return found
+
+
+def test_the_private_import_scan_sees_both_forms():
+    source = ("from .a import b, _c as d\nfrom . import e as f, g\nfrom x import _h\n"
+              "def k():\n    return f._i + g.j + g.__doc__ + d._l\n")
+    assert private_imports(source) == {("a", "_c"), ("e", "_i")}
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    found = {(path.name, *pair) for path in MODULES
+             for pair in private_imports(path.read_text(encoding="utf-8"))}
+    assert found == SHARED_PRIVATE

@@ -271,14 +271,51 @@ def test_operation_free_images_build_each_monomial_once(monkeypatch):
                         lambda *args: built.append(build(*args)) or built[-1])
     q = apply_functor(h, p)
     assert len(q.items) == 35 and not products
-    # the images' three monomials and every other monomial of h(p) but 1,
-    # each built once and used as it is
+    # every monomial of h(p) but 1, the images' three included, each built
+    # once from its packed key
     assert sorted(map(id, built)) == sorted(id(m) for m, _ in q.items if m.atoms)
     built.clear()
     parts = [apply_functor(h, nf_from_monomial(N2, mono)) for mono, _ in p.items]
     assert not built and not products
     objects = {id(m) for m, _ in q.items}
     assert all(id(m) in objects for part in parts for m, _ in part.items)
+
+
+def count_monomials(monkeypatch):
+    """A list that grows by one per monomial built, by the constructor or
+    from sorted atoms."""
+    built = []
+    init, build = Monomial.__init__, normal._sorted_monomial
+    monkeypatch.setattr(Monomial, "__init__",
+                        lambda self, atoms: built.append(1) or init(self, atoms))
+    monkeypatch.setattr(normal, "_sorted_monomial",
+                        lambda *args: built.append(1) or build(*args))
+    return built
+
+
+def test_mu_of_a_unit_returns_the_monomials_it_names(monkeypatch):
+    p, a = fpp()
+    lifted = [unit(as_monoid_element(v)) for v in (p, a)]
+    built = count_monomials(monkeypatch)
+    for v, y in zip((p, a), lifted):
+        out = mu(y)
+        assert out == v and not built
+        assert all(m is n for (m, _), (n, _) in zip(out.items, v.items))
+
+
+@pytest.mark.parametrize("k", [2000, 8000])
+def test_mu_collapses_a_monomial_with_one_sort(monkeypatch, k):
+    # y[m]^k for a 20-atom m is m^k: one monomial of 20*k atoms, built with
+    # one sort, where a chain of k products would copy the atoms so far k
+    # times
+    p, _ = fpp()
+    x0, x1, fp = GenAtom(0), GenAtom(1), AppAtom(p)
+    m = Monomial([x1] * 10 + [fp] * 2 + [x0] * 8)
+    y = NormalForm(MonomialBasis(N2), ((Monomial([GenAtom(m)] * k), 3),))
+    built = count_monomials(monkeypatch)
+    [(out, c)] = mu(y).items
+    assert built == [1] and c == 3
+    assert out.atom_counts() == [(x0, 8 * k), (x1, 10 * k), (fp, 2 * k)]
 
 
 # --- the same argument at two levels ---------------------------------------
@@ -546,8 +583,8 @@ def test_operation_atoms_never_widen_packed_ints(monkeypatch):
     monkeypatch.setattr(normal, "_packed_mul", recording)
     assert apply_functor(MonoidHom.from_matrix(N1, N1, [[2]]), v) == w
     assert mu(u) == v
-    # one product per level and map, for the prefix x*f(...)
-    assert len(widths) == 2 * depth and max(widths) <= normal._FIELD
+    # one product per level, for the prefix x*f(...); mu packs no keys
+    assert len(widths) == depth and max(widths) <= normal._FIELD
 
 
 # --- hash-consed operation atoms -------------------------------------------
