@@ -86,8 +86,8 @@ class CoeffMap:
     tag = property(operator.attrgetter("carrier"))
 
     # (tag, items) -> None; raises CarrierMismatch on a key outside the tag's
-    # basis (and MonoidElem's ValueError on a coefficient that is not a
-    # positive int).  None means the items are not checked.
+    # basis and ValueError on a coefficient that is not a positive int
+    # (``_check_coeffs``).  None means the items are not checked.
     _check_keys: Callable[[Any, list], None] | None = None
 
     @staticmethod
@@ -123,6 +123,13 @@ class CoeffMap:
         return coeff_add(self, other)
 
 
+def _check_coeffs(items: list) -> None:
+    """The coefficient rule of every checked map: each is a positive int."""
+    for _, c in items:
+        if type(c) is not int or c < 1:
+            raise ValueError(f"a coefficient must be a positive int, got {c!r}")
+
+
 def coeff_add(a: CoeffMap, b: CoeffMap) -> CoeffMap:
     """Pointwise sum of two coefficient maps of one type and tag."""
     cls, tag = type(a), a.tag
@@ -136,7 +143,7 @@ def coeff_add(a: CoeffMap, b: CoeffMap) -> CoeffMap:
 
 def coeff_scale(a: CoeffMap, n: int) -> CoeffMap:
     """n times a coefficient map, for a natural n."""
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("scalar must be a natural number")
     if n == 0:
         return type(a).zero(a.tag)
@@ -156,10 +163,9 @@ class MonoidElem(CoeffMap):
 
     @staticmethod
     def _check_keys(carrier: Carrier, items: list) -> None:
-        for key, c in items:
+        for key, _ in items:
             carrier.check_key(key)
-            if type(c) is not int or c < 1:
-                raise ValueError(f"a coefficient must be a positive int, got {c!r}")
+        _check_coeffs(items)
 
     @staticmethod
     def _item_order(item):
@@ -252,6 +258,7 @@ class TensorElem(CoeffMap):
                 raise CarrierMismatch("key width differs from factor count")
             for f, k in zip(factors, key):
                 f.check_key(k)
+        _check_coeffs(items)
 
     @staticmethod
     def _item_order(item):

@@ -26,7 +26,7 @@ def d_n(a: NormalForm, n: int) -> TensorElem:
     once, at its first occurrence; later occurrences, at any depth, reuse
     that derivative.  Only the whole value's derivative becomes a tensor,
     sorted once."""
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("the family is indexed by naturals")
     grouped = _d_n(a, n, ArgumentMemo(lambda v, memo: _d_n(v, n, memo)))
     return TensorElem.from_dict((MonomialBasis(a.carrier), a.carrier), {

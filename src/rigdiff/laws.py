@@ -8,7 +8,8 @@ laws that need the same inputs share a draw.
 The derivative entry point is injectable so the harness can be shown to
 catch a deliberately broken implementation.
 
-Each derivative law is checked for every family member n at once, from two
+Each derivative law, and ``distinctness``'s identity d(f(x[1]), n) =
+n*(1 ⊗ e[0]), is checked for every family member n at once, from two
 evaluations (``_every_n``).  Under ``d_n`` every coefficient of either side
 of a law is a polynomial in n with natural coefficients: n enters only as
 the weight of an operation atom, and the sides are built from it with
@@ -30,8 +31,8 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .carrier import (
-    FreeMonoid, MonoidElem, MonoidHom, MonomialBasis, elem_add,
-    tensor_add, tensor_bimap, tensor_concat, tensor_permute, tensor_pure,
+    FreeMonoid, MonoidElem, MonoidHom, MonomialBasis, elem_add, tensor_add,
+    tensor_bimap, tensor_concat, tensor_permute, tensor_pure, tensor_scale,
 )
 from .derive import d_n as default_d_n
 from .gen import equivalent_variant, random_elem, random_hom, random_term_rng
@@ -44,7 +45,7 @@ from .normal import (
     nf_scale, nf_selfmap, nf_var, normalize,
 )
 from .terms import App, Prod, Sum, Var, ONE, ZERO, term_map_hom
-from .text import print_term
+from .text import print_term, render_tensor
 
 
 # Shape of the random cases: base ranks, nesting of the unary operation,
@@ -55,6 +56,12 @@ MAX_COEFF = 5
 LEVEL2_DEPTH = 3
 PAYLOAD_DEPTH = 2
 LEVEL3_DEPTH = 2
+
+# distinctness's witness, f of the first variable over rank 1, and 1 ⊗ e[0]:
+# member n derives the first to n times the second, so members differ.
+_E0 = MonoidElem.generator(FreeMonoid(1), 0)
+_WITNESS = nf_selfmap(nf_var(_E0))
+_ONE_E0 = tensor_pure([MonoidElem.generator(MonomialBasis(_E0.carrier), ONE_MONOMIAL), _E0])
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,8 @@ class SuiteConfig:
     level3_cases: int = 50
 
     def __post_init__(self):
-        if min(self.cases, self.max_depth, self.level3_cases) < 0:
+        if any(type(k) is not int or k < 0
+               for k in (self.cases, self.max_depth, self.level3_cases)):
             raise ValueError("cases, max_depth and level3_cases must be naturals")
 
 
@@ -508,15 +516,9 @@ def n_independence(d_n, a):
 @_law("family member n evaluates the operation witness to n, so members differ",
       lambda rng, cfg: ())
 def distinctness(d_n):
-    try:
-        # P(1) = 1 and P(2) = 2 with natural coefficients force P(n) = n
-        pairs = check_distinctness((1, 2), derive_fn=d_n)
-    except ValueError as exc:
-        return str(exc)
-    bad = [(n, v) for n, v in pairs if v != n]
-    if bad:
-        return f"family members misevaluated their witness: {bad}"
-    return None
+    return _every_n(lambda n: (d_n(_WITNESS, n), tensor_scale(_ONE_E0, n)),
+                    lambda n: f"member n={n} derives the witness {_WITNESS} to"
+                              f" {render_tensor(d_n(_WITNESS, n))}, not n*(1 ⊗ e[0])")
 
 
 LAWS: tuple[Law, ...] = tuple(_LAWS_BY_NAME.values())
@@ -563,22 +565,18 @@ def check_laws(cfg: SuiteConfig = SuiteConfig(), derive_fn=None) -> LawReport:
     return LawReport(cfg, results)
 
 
-def check_distinctness(n_values: Iterable[int],
-                       derive_fn=None) -> list[tuple[int, int]]:
-    """Evaluate each family member on the standard witness.
+def check_distinctness(n_values: Iterable[int]) -> list[tuple[int, int]]:
+    """Evaluate each family member ``d_n`` on ``distinctness``'s witness.
 
-    The witness is the unary operation applied to the first variable over
-    the rank-1 carrier.  Each monomial of the member's value tensor (whose
-    rank-1 factor the unitor convention absorbs) is evaluated at the
-    identity rig with the generator sent to 1, so the value is a natural.
-    Returns (n, value) pairs and raises if two members coincide.
+    The law proves that member n derives the witness to n*(1 ⊗ e[0]).  Here
+    each monomial of that value tensor (whose rank-1 factor the unitor
+    convention absorbs) is evaluated at the identity rig with the generator
+    sent to 1, so the value is a natural.  Returns (n, value) pairs and
+    raises if two members coincide.
     """
-    dfn = derive_fn or default_d_n
-    carrier = FreeMonoid(1)
-    witness = nf_selfmap(nf_var(MonoidElem.generator(carrier, 0)))
-    identity = CATALOG["identity"]
+    carrier, identity = _WITNESS.carrier, CATALOG["identity"]
     pairs = [(n, sum(c * evaluate(nf_from_monomial(carrier, mono), identity, {0: 1})
-                     for (mono, _gen), c in dfn(witness, n).items))
+                     for (mono, _gen), c in default_d_n(_WITNESS, n).items))
              for n in n_values]
     if len({v for _, v in pairs}) != len(pairs):
         raise ValueError(f"family members coincide on the witness: {pairs}")

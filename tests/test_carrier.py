@@ -207,6 +207,15 @@ class TestTensorElem:
         with pytest.raises(CarrierMismatch, match="key width"):
             tensor_concat(TensorElem((N2,), (((0, 1), 1),)), elem_as_tensor(good))
 
+    def test_coefficients_must_be_positive_ints(self):
+        # MonoidElem's coefficient rule, on from_dict and on product operands
+        t = TensorElem((N1,), (((0,), 2.0),))
+        with pytest.raises(ValueError, match="positive int, got 2.0"):
+            tensor_concat(t, t)
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match=f"positive int, got {bad!r}"):
+                TensorElem.from_dict((N1,), {(0,): bad})
+
     def test_concat_multiplies_coefficients(self):
         t = TensorElem.from_dict((N1,), {(0,): 2})
         s = TensorElem.from_dict((N2,), {(1,): 3})
@@ -257,6 +266,17 @@ class TestTensorElem:
         t = TensorElem.zero((N1,))
         out = tensor_bimap(t, [(lambda k: MonoidElem.generator(N2, 0), (N2,))])
         assert out.is_zero() and out.factors == (N2,)
+
+
+@pytest.mark.parametrize("scale, a", [
+    (elem_scale, e(N1, {0: 2})),
+    (tensor_scale, TensorElem.from_dict((N1,), {(0,): 2})),
+    (nf_scale, nf_var(e(N1, {0: 1}))),
+], ids=["MonoidElem", "TensorElem", "NormalForm"])
+def test_scalars_must_be_natural_ints(scale, a):
+    for bad in (2.5, 2.0, True, False, -1):
+        with pytest.raises(ValueError, match="scalar must be a natural number"):
+            scale(a, bad)
 
 
 # MonoidElem, TensorElem and NormalForm share one coefficient-map core; each

@@ -40,6 +40,11 @@ class TestDn:
         assert d_n(witness, 2) == tensor1({(ONE_MONOMIAL, 0): 2})
         assert d_n(witness, 0).is_zero()
 
+    def test_index_must_be_a_natural_int(self):
+        for bad in (1.5, 2.0, True, False, -1):
+            with pytest.raises(ValueError, match="indexed by naturals"):
+                d_n(nf("f(x[1])*x[1]"), bad)
+
     def test_nested_operations_multiply_weights(self):
         assert d_n(nf("f(f(x[1]))"), 2) == tensor1({(ONE_MONOMIAL, 0): 4})
 

@@ -33,9 +33,19 @@ def _dumps(obj) -> str:
 
 
 def test_law_report_reproduces_byte_for_byte():
-    got = reports()
+    got, text = reports(), REPORT.read_text(encoding="utf-8")
     assert not got["doubled"]["ok"] and got["d_n"]["ok"]
-    assert _dumps(got) == REPORT.read_text(encoding="utf-8")
+    # entry by entry first, so that a mismatch names the law that moved;
+    # the round trip reads tuples back as the file's lists
+    got, frozen = json.loads(_dumps(got)), json.loads(text)
+    assert got.keys() == frozen.keys()
+    for derivative, report in frozen.items():
+        assert got[derivative]["config"] == report["config"], derivative
+        assert ([e["name"] for e in got[derivative]["laws"]]
+                == [e["name"] for e in report["laws"]]), derivative
+        for have, want in zip(got[derivative]["laws"], report["laws"]):
+            assert have == want, f"{derivative}.{want['name']} moved"
+    assert _dumps(got) == text
 
 
 if __name__ == "__main__":

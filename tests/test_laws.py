@@ -75,14 +75,14 @@ def split(a, n):
     return d_n(a, n if a.carrier.level == 1 else n * n)
 
 
-def leibniz(weight=lambda arg, n: (ONE_MONOMIAL, n), exponents=True,
+def leibniz(weight=lambda arg, n: ((ONE_MONOMIAL, n),), exponents=True,
             nested=True, rests=True):
     """The Leibniz expansion of ``d_n`` with knobs that each break one part
     of it; the defaults reproduce ``d_n``.  An operation atom multiplies its
-    argument's derivative by ``weight(argument, n)``, a (monomial,
-    coefficient) pair; ``exponents=False`` drops an atom's multiplicity,
-    ``nested=False`` derives operation atoms inside an argument to 0 and
-    ``rests=False`` drops the rest of the monomial."""
+    argument's derivative by ``weight(argument, n)``, a value's items as
+    (monomial, coefficient) pairs; ``exponents=False`` drops an atom's
+    multiplicity, ``nested=False`` derives operation atoms inside an
+    argument to 0 and ``rests=False`` drops the rest of the monomial."""
     def expand(a, n, memo, apps):
         acc = {}
         for mono, c in a.items:
@@ -93,10 +93,10 @@ def leibniz(weight=lambda arg, n: (ONE_MONOMIAL, n), exponents=True,
                     key = (rest, atom.index)
                     acc[key] = acc.get(key, 0) + c_mult
                 elif apps:
-                    w, k = weight(atom.argument, n)
-                    for (part, gen), c2 in memo[atom.argument].items:
-                        key = (mono_mul(mono_mul(rest, w), part), gen)
-                        acc[key] = acc.get(key, 0) + c_mult * k * c2
+                    for w, k in weight(atom.argument, n):
+                        for (part, gen), c2 in memo[atom.argument].items:
+                            key = (mono_mul(mono_mul(rest, w), part), gen)
+                            acc[key] = acc.get(key, 0) + c_mult * k * c2
         return TensorElem.from_dict((MonomialBasis(a.carrier), a.carrier), acc)
 
     def derive(a, n):
@@ -119,16 +119,20 @@ MUTANTS = {
     # this through apply_functor, so it also pins that the hom's cached
     # map leaves verdicts alone
     "weight is the first generator": (
-        leibniz(weight=lambda arg, n: (first_generator(arg.carrier), 1)),
+        leibniz(weight=lambda arg, n: ((first_generator(arg.carrier), 1),)),
         {"chain_rule": 6, "interchange_rule": 6, "naturality_derivative": 8,
          "distinctness": 100}),
     "weight is the number of monomials": (
-        leibniz(weight=lambda arg, n: (ONE_MONOMIAL, len(arg.items))),
+        leibniz(weight=lambda arg, n: ((ONE_MONOMIAL, len(arg.items)),)),
         {"chain_rule": 1, "naturality_derivative": 5, "distinctness": 100}),
     "weight is the first monomial": (
-        leibniz(weight=lambda arg, n: (arg.items[0][0], 1) if arg.items
-                else (ONE_MONOMIAL, 0)),
+        leibniz(weight=lambda arg, n: ((arg.items[0][0], 1),) if arg.items else ()),
         {"interchange_rule": 5, "naturality_derivative": 7, "distinctness": 100}),
+    # natural: d(f(a)) = n*a*d(a) passes every derivative law, and only the
+    # witness's exact derivative, n*(1 ⊗ e[0]), tells it from d_n
+    "weight is n times the argument": (
+        leibniz(weight=lambda arg, n: tuple((m, n * c) for m, c in arg.items)),
+        {"distinctness": 100}),
     "forgotten exponent": (
         leibniz(exponents=False),
         {"product_rule": 13, "naturality_derivative": 2}),
@@ -309,9 +313,10 @@ class TestDistinctness:
     def test_supports_sparse_index_sets(self):
         assert check_distinctness((0, 4, 9)) == [(0, 0), (4, 4), (9, 9)]
 
-    def test_coinciding_members_raise(self):
+    def test_coinciding_members_raise(self, monkeypatch):
+        monkeypatch.setattr("rigdiff.laws.default_d_n", lambda a, n: d_n(a, 1))
         with pytest.raises(ValueError, match="coincide"):
-            check_distinctness(range(3), derive_fn=lambda a, n: d_n(a, 1))
+            check_distinctness(range(3))
 
 
 class TestConfig:
@@ -327,6 +332,12 @@ class TestConfig:
     def test_negative_counts_are_rejected(self, field):
         with pytest.raises(ValueError, match="must be naturals"):
             SuiteConfig(**{field: -1})
+
+    def test_counts_must_be_ints(self):
+        for field in ("cases", "max_depth", "level3_cases"):
+            for bad in (1.5, 2.0, True, False):
+                with pytest.raises(ValueError, match="must be naturals"):
+                    SuiteConfig(**{field: bad})
 
     def test_a_negative_seed_is_a_seed(self):
         assert check_laws(SuiteConfig(seed=-1, cases=1, level3_cases=1)).ok
